@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -24,6 +25,7 @@
 #include "model/batch_eval.hpp"
 #include "model/eval_cache.hpp"
 #include "model/eval_plan.hpp"
+#include "service/mapping_store.hpp"
 #include "sparse/sparse_model.hpp"
 #include "workload/model_zoo.hpp"
 
@@ -270,6 +272,69 @@ BM_EndToEndGammaSearch(benchmark::State &state)
                             500);
 }
 BENCHMARK(BM_EndToEndGammaSearch)->Unit(benchmark::kMillisecond);
+
+/** Mapping with every loop at the outermost level (the store does not
+ *  care whether it is good, only that it round-trips). */
+Mapping
+allAtTop(const Workload &wl, const ArchConfig &arch)
+{
+    Mapping m(arch.numLevels(), wl.numDims());
+    for (int d = 0; d < wl.numDims(); ++d)
+        m.level(arch.numLevels() - 1).temporal[d] = wl.bound(d);
+    return m;
+}
+
+void
+BM_StoreLookupNear(benchmark::State &state)
+{
+    // A store shaped like the warm-start benchmark's: 684 lattice GEMMs
+    // at B=16/256 (points >= 4 apart in BoundRatio distance) plus 6000
+    // B=1 fillers, over two arches. Each lookup is one dimension x2
+    // off a lattice point, i.e. a Near hit at distance 1.
+    const ArchConfig archs[] = {accelA(), accelB()};
+    // mse-lint: allow(store-construct) in-memory fixture, never replicated
+    MappingStore store;
+    std::vector<Workload> queries;
+    std::vector<size_t> query_arch;
+    const int lattice[] = {2, 4, 6, 8, 10, 12, 14};
+    for (size_t a = 0; a < 2; ++a)
+        for (const int64_t batch : {16, 256})
+            for (const int cm : lattice)
+                for (const int ck : lattice)
+                    for (const int cn : lattice) {
+                        if ((cm + ck + cn) % 4 != 0)
+                            continue;
+                        const Workload wl =
+                            makeGemm("gemm", batch, int64_t{1} << cm,
+                                     int64_t{1} << ck, int64_t{1} << cn);
+                        store.recordIfBetter(wl, archs[a], Objective::Edp,
+                                             false, allAtTop(wl, archs[a]),
+                                             1.0, 1.0, 1.0, 200);
+                        queries.push_back(makeGemm(
+                            "gemm", batch, int64_t{2} << cm,
+                            int64_t{1} << ck, int64_t{1} << cn));
+                        query_arch.push_back(a);
+                    }
+    Rng rng(7);
+    const auto dim = [&] {
+        return static_cast<int64_t>(std::exp2(4.0 + 8.0 * rng.uniformReal()));
+    };
+    while (store.size() < queries.size() + 6000) {
+        const ArchConfig &arch = archs[store.size() % 2];
+        const Workload wl = makeGemm("gemm", 1, dim(), dim(), dim());
+        store.recordIfBetter(wl, arch, Objective::Edp, false,
+                             allAtTop(wl, arch), 1.0, 1.0, 1.0, 0);
+    }
+    size_t i = 0;
+    for (auto _ : state) {
+        const size_t q = i++ % queries.size();
+        benchmark::DoNotOptimize(store.lookup(queries[q],
+                                              archs[query_arch[q]],
+                                              Objective::Edp, false, 8.0));
+    }
+    state.counters["entries"] = static_cast<double>(store.size());
+}
+BENCHMARK(BM_StoreLookupNear)->Unit(benchmark::kMicrosecond);
 
 /**
  * Batched-evaluation throughput sweep (the perf-trajectory artifact of
@@ -600,7 +665,8 @@ runThroughputSweep()
 /**
  * Perf-regression gate: compare this run's single-thread numbers
  * against the checked-in baseline
- * (bench/baselines/eval_throughput.json, overridable via
+ * (bench/baselines/eval_throughput.json, its absolute path fixed at
+ * configure time so any working directory finds it; overridable via
  * MSE_PERF_BASELINE). The primary checks are the in-run
  * legacy-vs-planned *speedup ratios*, which cancel machine speed and
  * load, so the gate is meaningful on CI boxes unlike the baseline
@@ -615,8 +681,7 @@ int
 perfRegressionGate()
 {
     const char *env = std::getenv("MSE_PERF_BASELINE");
-    const std::string path =
-        env ? env : "bench/baselines/eval_throughput.json";
+    const std::string path = env ? env : MSE_PERF_BASELINE_DEFAULT;
     std::ifstream in(path);
     if (!in) {
         std::printf("perf gate: no baseline at %s, skipping\n",

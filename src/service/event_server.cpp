@@ -260,6 +260,7 @@ EventServer::acceptReady()
             return;
         }
         setNonBlocking(fd);
+        setTcpNoDelay(fd);
         if (conns_.size() >= cfg_.max_connections) {
             const std::string line =
                 wireError(wire_errors::kTooManyConnections,

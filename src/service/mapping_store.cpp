@@ -129,6 +129,81 @@ MappingStore::decodeEntry(const std::string &line)
     return decodeEntryJson(*doc);
 }
 
+namespace {
+
+/** The Near index's per-dimension coordinate of wl. */
+double
+logBound(const Workload &wl, int d)
+{
+    return std::log2(static_cast<double>(wl.bound(d)));
+}
+
+} // namespace
+
+std::string
+MappingStore::bucketKey(const Workload &wl, const std::string &arch_sig,
+                        Objective objective, bool sparse)
+{
+    std::string key = arch_sig + "|" + objectiveName(objective) +
+        (sparse ? "|sparse" : "|dense");
+    // Dim names are free text: length-prefix them so two different
+    // name lists can never share a bucket (rows of one bucket must
+    // line up dimension by dimension).
+    for (const std::string &name : wl.dimNames()) {
+        key += '|';
+        key += std::to_string(name.size());
+        key += ':';
+        key += name;
+    }
+    return key;
+}
+
+void
+MappingStore::indexLocked(const Node &node)
+{
+    const StoreEntry &e = node.second;
+    NearBucket &b =
+        near_[bucketKey(e.workload, e.arch_sig, e.objective, e.sparse)];
+    b.nodes.push_back(&node);
+    for (int d = 0; d < e.workload.numDims(); ++d)
+        b.log_bounds.push_back(logBound(e.workload, d));
+}
+
+void
+MappingStore::unindexLocked(const Node &node)
+{
+    const StoreEntry &e = node.second;
+    NearBucket &b =
+        near_.at(bucketKey(e.workload, e.arch_sig, e.objective, e.sparse));
+    const size_t dims = e.workload.dimNames().size();
+    const size_t row = static_cast<size_t>(
+        std::find(b.nodes.begin(), b.nodes.end(), &node) -
+        b.nodes.begin());
+    // Swap-remove: row order within a bucket is irrelevant.
+    const size_t last = b.nodes.size() - 1;
+    b.nodes[row] = b.nodes[last];
+    b.nodes.pop_back();
+    std::copy_n(b.log_bounds.begin() + static_cast<ptrdiff_t>(last * dims),
+                dims,
+                b.log_bounds.begin() + static_cast<ptrdiff_t>(row * dims));
+    b.log_bounds.resize(last * dims);
+}
+
+void
+MappingStore::replaceLocked(Node &node, const StoreEntry &e)
+{
+    // One key is one workload signature, so the row can only go stale
+    // if two signatures collide under fnv1a64: re-index it if it does.
+    const Workload &old = node.second.workload;
+    const bool stale = old.dimNames() != e.workload.dimNames() ||
+        old.bounds() != e.workload.bounds();
+    if (stale)
+        unindexLocked(node);
+    node.second = e;
+    if (stale)
+        indexLocked(node);
+}
+
 void
 MappingStore::ingestLineLocked(const std::string &line)
 {
@@ -142,11 +217,11 @@ MappingStore::ingestLineLocked(const std::string &line)
     ++key_appends_[key];
     const auto it = best_.find(key);
     if (it == best_.end()) {
-        best_.emplace(key, *entry);
+        indexLocked(*best_.emplace(key, *entry).first);
     } else {
         ++dead_;
         if (entry->score < it->second.score)
-            it->second = *entry;
+            replaceLocked(*it, *entry);
     }
 }
 
@@ -155,6 +230,7 @@ MappingStore::load()
 {
     MutexLock lk(mu_);
     best_.clear();
+    near_.clear();
     key_appends_.clear();
     malformed_ = 0;
     dead_ = 0;
@@ -212,9 +288,15 @@ MappingStore::lookup(const Workload &wl, const ArchConfig &arch,
                      Objective objective, bool sparse,
                      double max_distance) const
 {
+    // Signatures are hashed before taking the lock.
+    const std::string arch_sig = fnv1a64Hex(arch.signature());
+    const std::string key = keyFromParts(fnv1a64Hex(wl.signature()),
+                                         arch_sig, objective, sparse);
+    const std::string bucket_key =
+        bucketKey(wl, arch_sig, objective, sparse);
     MutexLock lk(mu_);
     Lookup out;
-    const auto it = best_.find(keyOf(wl, arch, objective, sparse));
+    const auto it = best_.find(key);
     if (it != best_.end()) {
         out.hit = StoreHit::Exact;
         out.entry = it->second;
@@ -223,30 +305,54 @@ MappingStore::lookup(const Workload &wl, const ArchConfig &arch,
     }
     // Nearest same-arch, same-objective neighbor whose mapping can seed
     // this workload's map space (BoundRatio: total |log2| bound drift).
-    const std::string arch_sig = fnv1a64Hex(arch.signature());
+    // Only the query's bucket can hold one (same dim names).
+    const auto bucket = near_.find(bucket_key);
+    if (bucket == near_.end())
+        return out;
+    const NearBucket &b = bucket->second;
+    const size_t dims = wl.dimNames().size();
+    std::vector<double> q(dims);
+    for (size_t d = 0; d < dims; ++d)
+        q[d] = logBound(wl, static_cast<int>(d));
+    // Pass 1: the precomputed logs give the BoundRatio distance up to
+    // a few ulps of rounding. Keep every row within tolerance of the
+    // running minimum: that covers every row within tolerance of the
+    // final one.
+    const auto cutoffOf = [](double m) { return m + 1e-9 * (1.0 + m); };
+    double min_row = std::numeric_limits<double>::infinity();
+    std::vector<std::pair<double, const Node *>> near;
+    for (size_t row = 0; row < b.nodes.size(); ++row) {
+        const double *r = b.log_bounds.data() + row * dims;
+        double f = 0.0;
+        for (size_t d = 0; d < dims; ++d)
+            f += std::fabs(q[d] - r[d]);
+        if (f > cutoffOf(min_row))
+            continue;
+        min_row = std::min(min_row, f);
+        near.emplace_back(f, b.nodes[row]);
+    }
+    // Pass 2: rescore the survivors near the final minimum with the
+    // exact metric; the tolerance dwarfs the rounding, so the true
+    // nearest rows are all among them. Min-reduction with a total
+    // order (distance, then key): the choice does not depend on row
+    // order.
+    const double cutoff = cutoffOf(min_row);
     double best_dist = std::numeric_limits<double>::infinity();
-    const StoreEntry *best_entry = nullptr;
-    const std::string *best_key = nullptr;
-    // Min-reduction with a total order (distance, then key), so the
-    // chosen neighbor is independent of hash-map iteration order.
-    // mse-lint: allow(unordered-iter) order-independent min-reduction
-    for (const auto &kv : best_) {
-        const StoreEntry &e = kv.second;
-        if (e.arch_sig != arch_sig || e.objective != objective ||
-            e.sparse != sparse)
+    const Node *best = nullptr;
+    for (const auto &[f, node] : near) {
+        if (f > cutoff)
             continue;
         const double d = workloadDistance(SimilarityMetric::BoundRatio,
-                                          wl, e.workload);
+                                          wl, node->second.workload);
         if (d < best_dist ||
-            (d == best_dist && best_key && kv.first < *best_key)) {
+            (d == best_dist && best && node->first < best->first)) {
             best_dist = d;
-            best_entry = &e;
-            best_key = &kv.first;
+            best = node;
         }
     }
-    if (best_entry && best_dist <= max_distance) {
+    if (best && best_dist <= max_distance) {
         out.hit = StoreHit::Near;
-        out.entry = *best_entry;
+        out.entry = best->second;
         out.distance = best_dist;
     }
     return out;
@@ -305,10 +411,10 @@ MappingStore::upsertLocked(const std::string &key, const StoreEntry &e)
     if (it != best_.end() && it->second.score <= e.score)
         return false;
     if (it != best_.end()) {
-        it->second = e;
+        replaceLocked(*it, e);
         ++dead_;
     } else {
-        best_.emplace(key, e);
+        indexLocked(*best_.emplace(key, e).first);
     }
     ++key_appends_[key];
     appendLocked(e);

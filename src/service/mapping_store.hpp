@@ -39,6 +39,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "arch/arch.hpp"
@@ -113,6 +114,8 @@ class MappingStore
      * exact key if present, else the nearest same-arch same-objective
      * same-model entry with compatible dimensionality within
      * max_distance (BoundRatio units, i.e. total |log2| bound drift).
+     * Ties go to the least store key. Cost: one bucket of the private
+     * near-neighbour index, not the whole store.
      */
     Lookup lookup(const Workload &wl, const ArchConfig &arch,
                   Objective objective, bool sparse,
@@ -221,6 +224,36 @@ class MappingStore
         size_t max_entries) const EXCLUDES(mu_);
 
   private:
+    using Node = std::pair<const std::string, StoreEntry>;
+
+    /**
+     * Near-neighbour candidates sharing one (arch, objective, model,
+     * dim names) bucket: pointers to best_'s nodes plus their
+     * log2(bound) rows, row-major with numDims() doubles per row.
+     * Rows are appended when best_ gains a key (and moved only if a
+     * replacement changes the bounds, i.e. under an fnv1a64 signature
+     * collision); best_ never erases and unordered_map nodes
+     * survive rehashing, so the pointers stay valid until load()
+     * clears both maps together.
+     */
+    struct NearBucket
+    {
+        std::vector<const Node *> nodes;
+        std::vector<double> log_bounds;
+    };
+
+    /** Index key of the bucket holding every Near candidate of wl. */
+    static std::string bucketKey(const Workload &wl,
+                                 const std::string &arch_sig,
+                                 Objective objective, bool sparse);
+    /** Append the row of a key best_ just gained. */
+    void indexLocked(const Node &node) REQUIRES(mu_);
+    /** Remove the row of node (only ever to re-index it). */
+    void unindexLocked(const Node &node) REQUIRES(mu_);
+    /** Overwrite node's entry with a better record for its key,
+     *  keeping its row current. */
+    void replaceLocked(Node &node, const StoreEntry &e) REQUIRES(mu_);
+
     void ingestLineLocked(const std::string &line) REQUIRES(mu_);
     /** Shared accept path of recordIfBetter/mergeEntry: best-score-
      *  wins upsert + append + auto-compaction. */
@@ -233,6 +266,7 @@ class MappingStore
     std::string path_; ///< Immutable after construction (unguarded).
     bool fsync_each_;  ///< Immutable after construction (unguarded).
     std::unordered_map<std::string, StoreEntry> best_ GUARDED_BY(mu_);
+    std::unordered_map<std::string, NearBucket> near_ GUARDED_BY(mu_);
     std::unordered_map<std::string, uint64_t> key_appends_
         GUARDED_BY(mu_);
     size_t malformed_ GUARDED_BY(mu_) = 0;

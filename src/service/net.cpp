@@ -154,6 +154,14 @@ setNonBlocking(int fd)
     return ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
 }
 
+bool
+setTcpNoDelay(int fd)
+{
+    const int one = 1;
+    return ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one,
+                        sizeof(one)) == 0;
+}
+
 void
 closeSocket(int fd)
 {

@@ -44,6 +44,13 @@ bool sendLine(int fd, const std::string &line);
 /** Put fd into O_NONBLOCK mode; false on error. */
 bool setNonBlocking(int fd);
 
+/**
+ * Disable Nagle's algorithm on a TCP socket, so a small reply goes out
+ * at once instead of waiting for the peer's delayed ACK of the
+ * previous one. False on error.
+ */
+bool setTcpNoDelay(int fd);
+
 /** Close a socket fd (ignores errors). */
 void closeSocket(int fd);
 

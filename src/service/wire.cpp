@@ -1,5 +1,6 @@
 #include "service/wire.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "workload/workload_io.hpp"
@@ -265,6 +266,15 @@ parseWireRequest(const std::string &line, std::string *error_code,
                 fail(error_code, error_message, wire_errors::kBadRequest,
                      "density of '" + kv.first +
                          "' must be in (0, 1]");
+                return std::nullopt;
+            }
+            const auto &tensors = s.workload.tensors();
+            if (std::none_of(tensors.begin(), tensors.end(),
+                             [&](const TensorSpec &t) {
+                                 return t.name == kv.first;
+                             })) {
+                fail(error_code, error_message, wire_errors::kBadRequest,
+                     "densities names unknown tensor '" + kv.first + "'");
                 return std::nullopt;
             }
             s.workload.setDensity(kv.first, kv.second.asDouble());

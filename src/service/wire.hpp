@@ -19,6 +19,8 @@
  *    "mapper":"gamma", "objective":"edp", "max_samples":2000,
  *    "seed":123, "warm_start":true, "warm_seeds":2, "sparse":false,
  *    "densities": {"Weights":0.4, "Inputs":0.5}, "deadline_ms":60000}
+ *    // a densities key that names no tensor of the workload is a
+ *    // bad_request
  *   {"type":"replicate","from":"host:port",
  *    "entries":[{<store record, see mapping_store.hpp>}, ...]}
  *   {"type":"probe","from":"host:port"}           // health-monitor ping

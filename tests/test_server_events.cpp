@@ -11,6 +11,7 @@
 #include <arpa/inet.h>
 #include <csignal>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <pthread.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -395,6 +396,27 @@ TEST_F(EventServerTest, EmptyLinesAreIgnored)
     const auto doc = parseJson(line);
     ASSERT_TRUE(doc.has_value());
     EXPECT_EQ(doc->getString("type", ""), "ping");
+    closeSocket(fd);
+}
+
+TEST_F(EventServerTest, DensityOfUnknownTensorAnsweredThenServesNext)
+{
+    startServer();
+    const int fd = connect();
+    LineReader reader(fd);
+    const std::string burst =
+        searchLine(",\"densities\":{\"B\":0.3}") + "\n" +
+        searchLine(",\"max_samples\":40,\"seed\":3") + "\n";
+    ASSERT_TRUE(sendAll(fd, burst.data(), burst.size()));
+    const auto replies = readReplies(reader, 2);
+    ASSERT_EQ(replies.size(), 2u);
+    EXPECT_FALSE(replies[0].getBool("ok", true));
+    const JsonValue *err = replies[0].find("error");
+    ASSERT_NE(err, nullptr);
+    EXPECT_EQ(err->getString("code", ""), wire_errors::kBadRequest);
+    EXPECT_NE(err->getString("message", "").find("'B'"),
+              std::string::npos);
+    EXPECT_TRUE(replies[1].getBool("ok", false)) << replies[1].dump();
     closeSocket(fd);
 }
 
@@ -912,6 +934,29 @@ TEST_F(EventServerTest, WakePipeEintrIsAbsorbed)
     }
     closeSocket(fd);
     EXPECT_GT(FaultInjector::global().injected("server.wake.read"), 0u);
+}
+
+TEST(Net, TcpNoDelayOnAcceptedLoopbackSocket)
+{
+    std::string err;
+    const int lfd = listenTcp(0, &err);
+    ASSERT_GE(lfd, 0) << err;
+    const int cfd = connectTcp("127.0.0.1", boundPort(lfd), &err);
+    ASSERT_GE(cfd, 0) << err;
+    const int afd = acceptWithTimeout(lfd, 5000);
+    ASSERT_GE(afd, 0);
+    const auto noDelay = [](int fd) {
+        int v = -1;
+        socklen_t len = sizeof(v);
+        EXPECT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &v, &len), 0);
+        return v;
+    };
+    EXPECT_EQ(noDelay(afd), 0); // Nagle is on by default.
+    EXPECT_TRUE(setTcpNoDelay(afd));
+    EXPECT_NE(noDelay(afd), 0);
+    closeSocket(afd);
+    closeSocket(cfd);
+    closeSocket(lfd);
 }
 
 // --------------------------------------- net-layer fault injection

@@ -150,6 +150,21 @@ TEST(Wire, RejectsBadRequestsWithStructuredCodes)
     }
 }
 
+TEST(Wire, DensityOfUnknownTensorIsBadRequest)
+{
+    // A GEMM has Inputs/Weights/Outputs; "B" is a dimension, not a
+    // tensor. Must be rejected at decode, not thrown later.
+    std::string code, message;
+    const auto req = parseWireRequest(
+        "{\"type\":\"search\",\"workload\":{\"gemm\":{\"b\":1,\"m\":8,"
+        "\"k\":8,\"n\":8}},\"arch\":\"accel-A\","
+        "\"densities\":{\"B\":0.3}}",
+        &code, &message);
+    EXPECT_FALSE(req.has_value());
+    EXPECT_EQ(code, wire_errors::kBadRequest);
+    EXPECT_NE(message.find("'B'"), std::string::npos) << message;
+}
+
 TEST(Wire, ReplyEncoders)
 {
     const JsonValue err = wireError(wire_errors::kBadJson, "oops");
