@@ -18,12 +18,16 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/fault_injection.hpp"
+#include "common/math_util.hpp"
 #include "common/json.hpp"
+#include "service/mapping_store.hpp"
 #include "service/net.hpp"
 #include "service/poller.hpp"
 #include "service/server.hpp"
@@ -525,6 +529,68 @@ maskWallMs(std::string s)
     return s.substr(0, at + key.size()) + "0" + s.substr(end);
 }
 
+/** A replicated store record: tinyGemm all-at-top on miniNpu. */
+StoreEntry
+transcriptEntry()
+{
+    StoreEntry e;
+    e.workload = test::tinyGemm();
+    e.arch_sig = fnv1a64Hex(test::miniNpu().signature());
+    e.objective = Objective::Edp;
+    e.mapping = test::allAtTop(e.workload, test::miniNpu());
+    e.score = 42.0;
+    e.energy_uj = 1.0;
+    e.latency_cycles = 10.0;
+    e.samples = 7;
+    return e;
+}
+
+/**
+ * One hostile-and-friendly pipelined stream covering every request
+ * kind. The cluster ops come before the searches: they are answered
+ * on the event loop as they are framed, so placing them first keeps
+ * the sync reply independent of when the searches write the store.
+ * The oversized line is last, because it costs the session; it is 2x
+ * the 2048-byte cap.
+ */
+std::string
+transcriptStream()
+{
+    JsonValue replicate = JsonValue::object();
+    replicate["type"] = "replicate";
+    replicate["from"] = "127.0.0.1:1";
+    replicate["entries"] = JsonValue::array();
+    replicate["entries"].push(
+        MappingStore::encodeEntryJson(transcriptEntry()));
+    JsonValue bad = MappingStore::encodeEntryJson(transcriptEntry());
+    bad["v"] = 2; // unknown record version: counted, not merged
+    replicate["entries"].push(bad);
+
+    // The caller is losing on the replicated key and names one key
+    // this daemon does not hold: exactly one record comes back.
+    JsonValue sync = JsonValue::object();
+    sync["type"] = "sync";
+    sync["from"] = "127.0.0.1:1";
+    sync["digest"] = JsonValue::object();
+    sync["digest"][MappingStore::keyOfEntry(transcriptEntry())] = 1e9;
+    sync["digest"]["no-such-key"] = 1.0;
+
+    const std::string search =
+        searchLine(",\"max_samples\":90,\"seed\":5,"
+                   "\"warm_start\":false");
+    return "{\"type\":\"ping\"}\n" +                       //
+        std::string("{oops\n") +                               //
+        "{\"type\":\"bogus\"}\n" +                           //
+        "\n" +                                                 //
+        searchLine(",\"densities\":{\"Nope\":0.5}") + "\n" + //
+        "{\"type\":\"probe\",\"from\":\"127.0.0.1:1\"}\n" + //
+        replicate.dump() + "\n" +                              //
+        sync.dump() + "\n" +                                   //
+        search + "\n" + search + "\n" +                        //
+        std::string(4096, 'x') + "\n";
+}
+
+/** Replies to transcriptStream(), in order, wall_ms masked. */
 std::vector<std::string>
 replyStreamFor(ServerConfig::Backend backend)
 {
@@ -541,34 +607,25 @@ replyStreamFor(ServerConfig::Backend backend)
     std::string serr;
     const int fd = connectTcp("127.0.0.1", server.port(), &serr);
     EXPECT_GE(fd, 0) << serr;
-    // The same hostile-and-friendly stream for both backends; the
-    // oversized line last, because it costs the session. The junk
-    // line is 2x the cap: the threaded backend's LineReader only
-    // enforces the cap on its unframed buffer, so a complete
-    // oversized line must overflow that buffer to be rejected there
-    // (the event backend rejects any over-cap framed line).
-    const std::string stream = "{\"type\":\"ping\"}\n" + //
-        std::string("{oops\n") +                         //
-        "{\"type\":\"bogus\"}\n" +                       //
-        searchLine(",\"max_samples\":90,\"seed\":5,"
-                   "\"warm_start\":false") +
-        "\n" +
-        searchLine(",\"max_samples\":90,\"seed\":5,"
-                   "\"warm_start\":false") +
-        "\n" + std::string(4096, 'x') + "\n";
+    const std::string stream = transcriptStream();
     EXPECT_TRUE(sendAll(fd, stream.data(), stream.size()));
 
+    // The server closes the session after the oversized line's reply,
+    // so reading to EOF collects the whole transcript.
     std::vector<std::string> replies;
     LineReader reader(fd);
-    for (int i = 0; i < 6; ++i) {
-        std::string line;
-        if (reader.readLine(&line, 120000) != LineReader::Status::Line)
-            break;
+    std::string line;
+    while (reader.readLine(&line, 120000) == LineReader::Status::Line)
         replies.push_back(maskWallMs(line));
-    }
     closeSocket(fd);
     server.stop();
     return replies;
+}
+
+std::string
+transcriptPath()
+{
+    return std::string(MSE_TEST_DATA_DIR) + "/server_transcript.txt";
 }
 
 TEST(ServerBackendParity, EventAndThreadedReplyStreamsAreByteIdentical)
@@ -576,16 +633,20 @@ TEST(ServerBackendParity, EventAndThreadedReplyStreamsAreByteIdentical)
     const auto event = replyStreamFor(ServerConfig::Backend::Event);
     const auto threaded =
         replyStreamFor(ServerConfig::Backend::Threaded);
-    ASSERT_EQ(event.size(), 6u);
-    ASSERT_EQ(threaded.size(), 6u);
+    ASSERT_EQ(event.size(), 10u);
+    ASSERT_EQ(threaded.size(), 10u);
     for (size_t i = 0; i < event.size(); ++i)
         EXPECT_EQ(event[i], threaded[i]) << "reply " << i;
-    // Sanity on the stream shape itself.
-    EXPECT_NE(event[0].find("\"ping\""), std::string::npos);
-    EXPECT_NE(event[1].find(wire_errors::kBadJson), std::string::npos);
-    EXPECT_NE(event[2].find(wire_errors::kBadRequest), std::string::npos);
-    EXPECT_NE(event[3].find("\"ok\":true"), std::string::npos);
-    EXPECT_NE(event[5].find(wire_errors::kRequestTooLarge), std::string::npos);
+    if (std::getenv("MSE_REGEN_GOLDEN")) {
+        std::ofstream out(transcriptPath());
+        out << "# mse_serve's replies to transcriptStream() in "
+               "tests/test_server_events.cpp,\n"
+               "# one line each, wall_ms masked. Regenerate with:\n"
+               "#   MSE_REGEN_GOLDEN=1 ./build/tests/test_server_events "
+               "--gtest_filter='ServerTranscript.*'\n";
+        for (const auto &r : event)
+            out << r << "\n";
+    }
 }
 
 // ------------------------------------------------------- executor pool
