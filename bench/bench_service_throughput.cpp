@@ -18,12 +18,11 @@
  * service granularity. Emits BENCH_service_throughput.json.
  *
  * A second section sweeps the *front end* itself: ping streams over
- * 1/32/256 (full mode: +1024, event only) concurrent connections,
- * with and without request pipelining, against both server backends.
- * Pings cost the service nothing, so the sweep isolates what the
- * paper's service layer adds around the search: connection handling,
- * framing, and reply dispatch. The headline figure is the
- * event-vs-threaded QPS ratio at high connection counts.
+ * 1/32/256 (full mode: +1024) concurrent connections, with and
+ * without request pipelining. Pings cost the service nothing, so the
+ * sweep isolates what the paper's service layer adds around the
+ * search: connection handling, framing, and reply dispatch. The
+ * headline figure is the QPS at 256 connections, pipeline 16.
  *
  * `bench_service_throughput smoke` (or MSE_BENCH_SMOKE=1) shrinks the
  * stream and budgets for CI.
@@ -165,7 +164,6 @@ passJson(const PassResult &r)
 /** One cell of the front-end sweep. */
 struct SweepCell
 {
-    const char *backend = "";
     size_t conns = 0;
     size_t pipeline = 0;
     size_t requests = 0;
@@ -182,25 +180,21 @@ struct SweepCell
 
 /**
  * Ping `conns` concurrent connections, `pipeline` requests per batch,
- * `batches` batches per connection, against a fresh server of the
- * given backend. Client side: min(8, conns) threads, each owning an
- * equal slice of the connections and playing batched
- * send-P-then-read-P rounds over every owned connection.
+ * `batches` batches per connection, against a fresh server. Client
+ * side: min(8, conns) threads, each owning an equal slice of the
+ * connections and playing batched send-P-then-read-P rounds over
+ * every owned connection.
  */
 SweepCell
-runSweepCell(ServerConfig::Backend backend, size_t conns,
-             size_t pipeline, size_t batches)
+runSweepCell(size_t conns, size_t pipeline, size_t batches)
 {
     SweepCell cell;
-    cell.backend =
-        backend == ServerConfig::Backend::Event ? "event" : "threaded";
     cell.conns = conns;
     cell.pipeline = pipeline;
 
     ServiceConfig scfg;
     MseService service(scfg);
     ServerConfig ncfg;
-    ncfg.backend = backend;
     ncfg.max_connections = conns + 8;
     ServiceServer server(service, ncfg);
     std::string err;
@@ -279,7 +273,6 @@ JsonValue
 sweepCellJson(const SweepCell &c)
 {
     JsonValue j = JsonValue::object();
-    j["backend"] = c.backend;
     j["connections"] = static_cast<uint64_t>(c.conns);
     j["pipeline"] = static_cast<uint64_t>(c.pipeline);
     j["requests"] = static_cast<uint64_t>(c.requests);
@@ -396,57 +389,25 @@ main(int argc, char **argv)
     const size_t batches =
         bench::envSize("MSE_BENCH_SWEEP_BATCHES", smoke ? 3 : 20);
     std::vector<size_t> conn_counts = {1, 32, 256};
-    std::vector<size_t> pipelines = {1, 16};
+    if (!smoke)
+        conn_counts.push_back(1024);
+    const std::vector<size_t> pipelines = {1, 16};
     std::vector<SweepCell> cells;
+    double qps_256x16 = 0.0;
     for (const size_t conns : conn_counts) {
         for (const size_t p : pipelines) {
-            for (const auto backend :
-                 {ServerConfig::Backend::Event,
-                  ServerConfig::Backend::Threaded}) {
-                const SweepCell cell =
-                    runSweepCell(backend, conns, p, batches);
-                std::printf("  %-8s conns %4zu  pipeline %2zu  qps "
-                            "%9.0f  failures %zu\n",
-                            cell.backend, cell.conns, cell.pipeline,
-                            cell.qps(), cell.failures);
-                cells.push_back(cell);
-            }
-        }
-    }
-    if (!smoke) {
-        // 1024 connections: event loop only. A thread per connection
-        // at that scale measures the scheduler, not the server.
-        for (const size_t p : pipelines) {
-            const SweepCell cell = runSweepCell(
-                ServerConfig::Backend::Event, 1024, p, batches);
-            std::printf("  %-8s conns %4zu  pipeline %2zu  qps "
-                        "%9.0f  failures %zu\n",
-                        cell.backend, cell.conns, cell.pipeline,
-                        cell.qps(), cell.failures);
+            const SweepCell cell = runSweepCell(conns, p, batches);
+            std::printf("  conns %4zu  pipeline %2zu  qps %9.0f  "
+                        "failures %zu\n",
+                        cell.conns, cell.pipeline, cell.qps(),
+                        cell.failures);
+            if (conns == 256 && p == 16)
+                qps_256x16 = cell.qps();
             cells.push_back(cell);
         }
-        std::printf("  (threaded backend capped at 256 connections)\n");
-    } else {
+    }
+    if (smoke)
         std::printf("  (smoke mode: 1024-connection cells skipped)\n");
-    }
-
-    // Headline ratio: event vs threaded at the highest shared
-    // connection count, pipelined.
-    double event_qps_256 = 0.0, threaded_qps_256 = 0.0;
-    for (const SweepCell &c : cells) {
-        if (c.conns == 256 && c.pipeline == 16) {
-            if (std::strcmp(c.backend, "event") == 0)
-                event_qps_256 = c.qps();
-            else
-                threaded_qps_256 = c.qps();
-        }
-    }
-    const double ratio_256 = threaded_qps_256 > 0.0
-        ? event_qps_256 / threaded_qps_256
-        : 0.0;
-    std::printf("  event/threaded qps ratio @256 conns, pipeline 16: "
-                "%.2fx\n",
-                ratio_256);
 
     JsonValue doc = JsonValue::object();
     doc["samples_per_request"] = static_cast<uint64_t>(samples);
@@ -473,9 +434,7 @@ main(int argc, char **argv)
         cells_json.push(sweepCellJson(c));
         sweep_failures += c.failures;
     }
-    sweep["event_qps_at_256x16"] = event_qps_256;
-    sweep["threaded_qps_at_256x16"] = threaded_qps_256;
-    sweep["event_vs_threaded_qps_ratio_at_256x16"] = ratio_256;
+    sweep["event_qps_at_256x16"] = qps_256x16;
     bench::writeBenchJson("BENCH_service_throughput.json", doc);
 
     // A store that degraded mid-bench (or a run with faults armed)

@@ -6,6 +6,22 @@
 
 namespace mse {
 
+namespace {
+
+/**
+ * Ring position of a vnode label or a key. Raw FNV-1a leaves labels
+ * that differ only in their last bytes ("127.0.0.1:PORT#v") clustered
+ * on the ring, so one node can own most of the key space; the
+ * splitmix64 finalizer spreads them.
+ */
+uint64_t
+pointHash(const std::string &s)
+{
+    return mix64(fnv1a64(s));
+}
+
+} // namespace
+
 ShardRing::ShardRing(const std::vector<std::string> &nodes,
                      size_t vnodes)
     : vnodes_(vnodes > 0 ? vnodes : 1)
@@ -54,7 +70,7 @@ ShardRing::rebuild()
     for (uint32_t ni = 0; ni < nodes_.size(); ++ni) {
         for (size_t v = 0; v < vnodes_; ++v) {
             Point p;
-            p.hash = fnv1a64(nodes_[ni] + "#" + std::to_string(v));
+            p.hash = pointHash(nodes_[ni] + "#" + std::to_string(v));
             p.node = ni;
             points_.push_back(p);
         }
@@ -91,7 +107,7 @@ ShardRing::ownerOf(const std::string &key) const
     static const std::string kEmpty;
     if (points_.empty())
         return kEmpty;
-    return nodes_[points_[pointFor(fnv1a64(key))].node];
+    return nodes_[points_[pointFor(pointHash(key))].node];
 }
 
 std::vector<std::string>
@@ -102,7 +118,7 @@ ShardRing::replicasOf(const std::string &key, size_t n) const
         return out;
     const size_t want = std::min(n, nodes_.size());
     out.reserve(want);
-    size_t idx = pointFor(fnv1a64(key));
+    size_t idx = pointFor(pointHash(key));
     for (size_t step = 0; step < points_.size() && out.size() < want;
          ++step) {
         const std::string &node =

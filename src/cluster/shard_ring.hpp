@@ -15,13 +15,15 @@
  * Design:
  *  - Nodes are opaque address strings ("host:port"). Each node
  *    projects `vnodes` virtual points onto a 64-bit ring, hashed with
- *    FNV-1a over "node#i" — no RNG, no wall clock, so two processes
- *    given the same node set always build bit-identical rings
- *    regardless of the order the nodes were listed in.
+ *    FNV-1a over "node#i" and finalized with splitmix64 (mix64) —
+ *    no RNG, no wall clock, so two processes given the same node set
+ *    always build bit-identical rings regardless of the order the
+ *    nodes were listed in. Without the finalizer, loopback addresses
+ *    that differ only in the port cluster on the ring.
  *  - A key (the MappingStore key, "wlsig|archsig|objective|density")
- *    is owned by the first virtual point clockwise of fnv1a64(key);
- *    its replica set is the owner plus the next R-1 *distinct* nodes
- *    clockwise.
+ *    is owned by the first virtual point clockwise of its hash (same
+ *    FNV-1a + mix64); its replica set is the owner plus the next R-1
+ *    *distinct* nodes clockwise.
  *  - Virtual points make node add/remove move only ~1/N of the key
  *    space (the classic consistent-hashing property; pinned by
  *    tests/test_shard_ring.cpp at <= ~2/N with slack).
@@ -70,8 +72,8 @@ class ShardRing
     bool contains(const std::string &node) const;
 
     /**
-     * The node owning `key`: first virtual point clockwise of
-     * fnv1a64(key). Empty string on an empty ring.
+     * The node owning `key`: first virtual point clockwise of the
+     * key's hash. Empty string on an empty ring.
      */
     const std::string &ownerOf(const std::string &key) const;
 

@@ -36,16 +36,13 @@ inline constexpr const char *kStoreRename = "store.rename";
 inline constexpr const char *kStoreUnlink = "store.unlink";
 
 // Blocking socket plumbing (src/service/net.cpp) — used by the
-// threaded backend, the clients, and the replication agent.
-inline constexpr const char *kNetAccept = "net.accept";
-inline constexpr const char *kNetAcceptPoll = "net.accept.poll";
+// clients, the replication agent and the health monitor.
 inline constexpr const char *kNetConnectPoll = "net.connect.poll";
-inline constexpr const char *kNetPeek = "net.peek";
 inline constexpr const char *kNetPoll = "net.poll";
 inline constexpr const char *kNetRecv = "net.recv";
 inline constexpr const char *kNetSend = "net.send";
 
-// Event-driven front end (src/service/event_server.cpp, poller.cpp).
+// Event-loop front end (src/service/server.cpp, poller.cpp).
 inline constexpr const char *kServerAccept = "server.accept";
 inline constexpr const char *kServerRecv = "server.recv";
 inline constexpr const char *kServerSend = "server.send";
@@ -69,14 +66,13 @@ inline constexpr const char *kClusterAccept = "cluster.accept";
 
 /** Every site the seam consults, for tests and tooling. */
 inline constexpr const char *kAllSites[] = {
-    kStoreOpen,   kStoreRead,       kStoreAppend,     kStoreFsync,
-    kStoreCompact, kStoreRename,    kStoreUnlink,     kNetAccept,
-    kNetAcceptPoll, kNetConnectPoll, kNetPeek,        kNetPoll,
-    kNetRecv,     kNetSend,         kServerAccept,    kServerRecv,
-    kServerSend,  kServerWakeRead,  kServerEpollCreate,
-    kServerEpollCtl, kServerEpollWait, kServerPollWait,
-    kClusterProbe, kClusterShip,    kClusterSync,     kClusterHintAppend,
-    kClusterHintRead, kClusterAccept,
+    kStoreOpen,      kStoreRead,       kStoreAppend,       kStoreFsync,
+    kStoreCompact,   kStoreRename,     kStoreUnlink,       kNetConnectPoll,
+    kNetPoll,        kNetRecv,         kNetSend,           kServerAccept,
+    kServerRecv,     kServerSend,      kServerWakeRead,    kServerEpollCreate,
+    kServerEpollCtl, kServerEpollWait, kServerPollWait,    kClusterProbe,
+    kClusterShip,    kClusterSync,     kClusterHintAppend, kClusterHintRead,
+    kClusterAccept,
 };
 
 } // namespace fault_sites

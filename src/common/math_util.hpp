@@ -35,6 +35,20 @@ fnv1a64(std::string_view s)
     return h;
 }
 
+/**
+ * splitmix64 finalizer: a strong bijective mix applied once at the end
+ * of a cheap hash, so inputs that differ only in their last bytes
+ * still spread over the whole 64-bit range.
+ */
+constexpr uint64_t
+mix64(uint64_t x)
+{
+    x += 0x9e3779b97f4a7c15ULL;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
+}
+
 /** fnv1a64 rendered as a fixed-width 16-digit hex string. */
 std::string fnv1a64Hex(std::string_view s);
 

@@ -69,14 +69,14 @@ MseEngine::optimize(const Workload &wl, Mapper &mapper,
 {
     MapSpace space(wl, arch_);
 
-    if (!opts.sparse && opts.use_eval_plan) {
+    if (!opts.sparse) {
         // Pipelined path: EvalPlan + SoA batch kernel + memoization
         // store + incremental offspring re-evaluation, reached from
         // SearchTracker::evaluateBatch via the BatchableEval target.
         // Objective re-targeting and Pareto capture run as the
         // pipeline's post hook, so they apply to cache hits too and
         // memoized entries keep raw (energy, latency) — the same
-        // layering as the legacy wrappers below.
+        // layering as the sparse wrappers below.
         BatchCostEvaluator::Options popts;
         popts.use_cache = opts.use_eval_cache;
         popts.use_incremental = opts.use_incremental;
@@ -107,21 +107,14 @@ MseEngine::optimize(const Workload &wl, Mapper &mapper,
         return outcome;
     }
 
-    EvalFn eval;
-    if (opts.sparse) {
-        const Workload sparse_wl = wl;
-        const ArchConfig arch = arch_;
-        const SparseCostModel model = sparse_model_;
-        eval = [sparse_wl, arch, model](const Mapping &m) {
-            return model.evaluate(sparse_wl, arch, m);
-        };
-    } else {
-        const Workload dense_wl = wl;
-        const ArchConfig arch = arch_;
-        eval = [dense_wl, arch](const Mapping &m) {
-            return CostModel::evaluate(dense_wl, arch, m);
-        };
-    }
+    // Sparse: the plan mirrors the dense model only, so the scalar
+    // sparse model runs per mapping.
+    const Workload sparse_wl = wl;
+    const ArchConfig arch = arch_;
+    const SparseCostModel model = sparse_model_;
+    EvalFn eval = [sparse_wl, arch, model](const Mapping &m) {
+        return model.evaluate(sparse_wl, arch, m);
+    };
 
     // Memoize duplicate genomes behind the canonical-mapping cache. The
     // cache is scoped to this run: its key does not encode the workload

@@ -67,20 +67,10 @@ struct MseOptions
     size_t eval_cache_shards = 16;
 
     /**
-     * Route dense-model optimize() runs through the pipelined batch
-     * evaluator (model/batch_eval.hpp): one EvalPlan per run, SoA batch
-     * kernel, memoization store honoring use_eval_cache. Results, logs,
-     * and cache accounting are bit-identical to the legacy per-mapping
-     * path; off = the legacy path (also used whenever sparse is set,
-     * since the plan mirrors the dense model only).
-     */
-    bool use_eval_plan = true;
-
-    /**
-     * Within the pipeline, re-evaluate GA offspring incrementally
-     * against their hinted parents' memoized access rows (provably
-     * bit-identical, with automatic fallback to full evaluation).
-     * Ignored on the legacy path.
+     * Within the dense pipeline, re-evaluate GA offspring
+     * incrementally against their hinted parents' memoized access rows
+     * (provably bit-identical, with automatic fallback to full
+     * evaluation). Ignored by sparse runs.
      */
     bool use_incremental = true;
 };

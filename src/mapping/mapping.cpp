@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "common/math_util.hpp"
 #include "common/permutation.hpp"
 
 namespace mse {
@@ -134,16 +135,6 @@ maskBypasses(const std::vector<uint8_t> &mask)
             return true;
     }
     return false;
-}
-
-/** splitmix64 finalizer: strong mixing applied once at the end. */
-uint64_t
-mix64(uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
 }
 
 /**

@@ -68,25 +68,6 @@ boundPort(int listen_fd)
 }
 
 int
-acceptWithTimeout(int listen_fd, int timeout_ms)
-{
-    pollfd pfd{};
-    pfd.fd = listen_fd;
-    pfd.events = POLLIN;
-    // sysPoll retries EINTR against the deadline, so a signal during
-    // the wait reads as a (shorter) timeout, never as a dead listener.
-    const int rc = sysPoll(&pfd, 1, timeout_ms, fault_sites::kNetAcceptPoll);
-    if (rc == 0)
-        return -1;
-    if (rc < 0)
-        return -2;
-    const int fd = sysAccept(listen_fd, fault_sites::kNetAccept);
-    if (fd < 0)
-        return errno == ECONNABORTED ? -1 : -2;
-    return fd;
-}
-
-int
 connectTcp(const std::string &host, uint16_t port, std::string *err)
 {
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -167,19 +148,6 @@ closeSocket(int fd)
 {
     if (fd >= 0)
         sysClose(fd);
-}
-
-bool
-peerClosed(int fd)
-{
-    char c;
-    const ssize_t r =
-        sysRecv(fd, &c, 1, MSG_PEEK | MSG_DONTWAIT, fault_sites::kNetPeek);
-    if (r == 0)
-        return true; // Orderly shutdown.
-    if (r < 0)
-        return errno != EAGAIN && errno != EWOULDBLOCK;
-    return false;
 }
 
 LineReader::Status

@@ -3,11 +3,10 @@
  * Minimal POSIX TCP helpers for the line-delimited-JSON front end.
  *
  * Everything here is loopback-oriented plumbing: bind/listen with an
- * ephemeral-port option, accept with a poll timeout (so the accept loop
- * can observe a stop flag), connect, full-buffer sends, and a buffered
- * line reader with a per-read timeout and a hard line-length cap — the
- * two knobs that keep a slow or malicious peer from pinning a
- * connection thread or ballooning memory.
+ * ephemeral-port option, connect, full-buffer sends, socket options,
+ * and the blocking client side's buffered line reader with a per-read
+ * timeout and a hard line-length cap — the two knobs that keep a slow
+ * or malicious peer from pinning a caller or ballooning memory.
  */
 #pragma once
 
@@ -25,12 +24,6 @@ int listenTcp(uint16_t port, std::string *err);
 
 /** Port a listening socket is actually bound to (0 on error). */
 uint16_t boundPort(int listen_fd);
-
-/**
- * Accept one connection, waiting at most timeout_ms. Returns the
- * connection fd, -1 on timeout (poll again), or -2 on a real error.
- */
-int acceptWithTimeout(int listen_fd, int timeout_ms);
 
 /** Connect to host:port. Returns the fd, or -1 with *err set. */
 int connectTcp(const std::string &host, uint16_t port, std::string *err);
@@ -53,12 +46,6 @@ bool setTcpNoDelay(int fd);
 
 /** Close a socket fd (ignores errors). */
 void closeSocket(int fd);
-
-/**
- * True if the peer has closed or errored the connection (non-blocking
- * peek). Used to notice a dropped client while its search is running.
- */
-bool peerClosed(int fd);
 
 /** Buffered newline-delimited reader with timeout and length cap. */
 class LineReader

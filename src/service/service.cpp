@@ -54,14 +54,21 @@ MseService::defaultExecutors()
     // getenv is safe here: nothing in this process calls
     // setenv/putenv after main() starts.
     // NOLINTNEXTLINE(concurrency-mt-unsafe)
-    if (const char *env = std::getenv("MSE_EXECUTORS")) {
+    return defaultExecutors(std::getenv("MSE_EXECUTORS"),
+                            std::thread::hardware_concurrency());
+}
+
+size_t
+MseService::defaultExecutors(const char *env, unsigned hw)
+{
+    long v = static_cast<long>(hw);
+    if (env) {
         char *end = nullptr;
-        const long v = std::strtol(env, &end, 10);
-        if (end != env && v >= 1)
-            return static_cast<size_t>(v > 64 ? 64 : v);
+        const long parsed = std::strtol(env, &end, 10);
+        if (end != env)
+            v = parsed;
     }
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw >= 1 ? hw : 1;
+    return static_cast<size_t>(v < 1 ? 1 : v > 64 ? 64 : v);
 }
 
 MseService::MseService(ServiceConfig cfg)

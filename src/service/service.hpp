@@ -223,11 +223,19 @@ class MseService
     size_t executors() const { return n_executors_; }
 
     /**
-     * The daemon-side default executor count: MSE_EXECUTORS env
-     * (clamped to [1, 64]), else hardware_concurrency. Library users
-     * get ServiceConfig's explicit default (1) unless they opt in.
+     * The daemon-side default executor count: MSE_EXECUTORS env, else
+     * hardware_concurrency, either one clamped to [1, 64]. Library
+     * users get ServiceConfig's explicit default (1) unless they opt
+     * in.
      */
     static size_t defaultExecutors();
+
+    /**
+     * defaultExecutors() as a pure function of the env value (null =
+     * unset) and the hardware concurrency `hw` (0 = unknown). An env
+     * value that parses as an integer wins; otherwise `hw` is used.
+     */
+    static size_t defaultExecutors(const char *env, unsigned hw);
 
     /** Synchronous convenience: submit and wait. */
     SearchReply search(SearchRequest req) EXCLUDES(mu_);

@@ -321,51 +321,59 @@ TEST(EvalPlanDifferential, PipelineWithHintsMatchesSoA)
     EXPECT_GT(pipeline.cacheHits(), 0u);
 }
 
-/** One full engine search; returns the log + best for comparison. */
+/** Log + best + Pareto size of one finished search, for comparison. */
 std::string
-searchFingerprint(Mapper &mapper, const MseOptions &opts, uint64_t seed)
+fingerprint(const MseOutcome &out)
 {
-    MseEngine engine(accelB());
-    Rng rng(seed);
-    const MseOutcome out =
-        engine.optimize(resnetConv4(), mapper, opts, rng);
     std::string s = render(out.search.best_cost);
-    s += " samples=" + std::to_string(out.search.log.samples);
-    for (double v : out.search.log.best_edp_per_sample)
-        s += " " + g17(v);
-    s += " pareto=" + std::to_string(out.pareto.entries().size());
+    s += " samples=";
+    s += std::to_string(out.search.log.samples);
+    for (double v : out.search.log.best_edp_per_sample) {
+        s += ' ';
+        s += g17(v);
+    }
+    s += " pareto=";
+    s += std::to_string(out.pareto.entries().size());
     return s;
 }
 
-// Acceptance: Gamma and StandardGA searches are bit-identical with
-// incremental re-evaluation on vs. off, and with the planned pipeline
-// on vs. off.
+// Acceptance: Gamma and StandardGA engine searches are bit-identical
+// with incremental re-evaluation on vs. off, and to an oracle search
+// that scores every mapping with the scalar CostModel::evaluate.
 TEST(EvalPlanDifferential, EngineSearchesBitIdenticalAcrossEvalPaths)
 {
-    const auto run = [&](bool use_plan, bool use_incremental,
-                         bool gamma) {
+    const Workload wl = resnetConv4();
+    const ArchConfig arch = accelB();
+    const auto run = [&](bool use_incremental, bool oracle, bool gamma) {
         MseOptions opts;
         opts.budget.max_samples = 400;
-        opts.use_eval_plan = use_plan;
         opts.use_incremental = use_incremental;
         opts.update_replay = false;
-        if (gamma) {
-            GammaMapper m;
-            return searchFingerprint(m, opts, 99);
-        }
-        StandardGaMapper m;
-        return searchFingerprint(m, opts, 99);
+        GammaMapper gm;
+        StandardGaMapper sm;
+        Mapper &mapper = gamma ? static_cast<Mapper &>(gm) : sm;
+        MseEngine engine(arch);
+        Rng rng(99);
+        if (!oracle)
+            return fingerprint(engine.optimize(wl, mapper, opts, rng));
+        const EvalFn eval = makeObjectiveEvaluator(
+            [&](const Mapping &m) {
+                return CostModel::evaluate(wl, arch, m);
+            },
+            opts.objective);
+        return fingerprint(engine.optimizeWithEvaluator(
+            MapSpace(wl, arch), eval, mapper, opts, rng));
     };
     for (const bool gamma : {true, false}) {
-        const std::string plan_inc = run(true, true, gamma);
-        const std::string plan_noinc = run(true, false, gamma);
-        const std::string legacy = run(false, false, gamma);
+        const std::string plan_inc = run(true, false, gamma);
+        const std::string plan_noinc = run(false, false, gamma);
+        const std::string scalar = run(false, true, gamma);
         EXPECT_EQ(plan_inc, plan_noinc)
             << (gamma ? "gamma" : "standard-ga")
             << ": incremental on/off diverged";
-        EXPECT_EQ(plan_inc, legacy)
+        EXPECT_EQ(plan_inc, scalar)
             << (gamma ? "gamma" : "standard-ga")
-            << ": planned pipeline vs legacy evaluator diverged";
+            << ": planned pipeline vs scalar oracle diverged";
     }
 }
 

@@ -59,25 +59,54 @@ TEST(ShardRing, PlacementIsAPureFunctionOfTheNodeSet)
     }
 }
 
+/** Loopback daemon addresses on the given ports. */
+std::vector<std::string>
+loopback(const std::vector<int> &ports)
+{
+    std::vector<std::string> out;
+    for (const int p : ports)
+        out.push_back("127.0.0.1:" + std::to_string(p));
+    return out;
+}
+
 TEST(ShardRing, EveryNodeOwnsASensibleShare)
 {
     // 64 vnodes/node keeps per-node load within a loose band of 1/N —
-    // no node starved, none doubly loaded (3x slack on 1000 keys).
-    const size_t n = 4;
-    const ShardRing ring(nodes(n));
+    // no node starved, none doubly loaded. Daemons on one host differ
+    // only in the port, so their vnode labels differ only in the last
+    // bytes: the sets below pin that case, with adjacent and scattered
+    // ephemeral ports. Every node must also be left out of some key's
+    // 2-replica set, or a client that knows only that node can never
+    // be redirected.
+    std::vector<std::vector<std::string>> sets = {nodes(4)};
+    for (const int base : {21000, 32768, 40000, 45001, 60997})
+        sets.push_back(loopback({base, base + 1, base + 2}));
+    sets.push_back(loopback({33012, 41877, 58203}));
+    sets.push_back(loopback({35555, 35599, 51234, 61000}));
     const auto ks = keys(1000);
-    std::vector<size_t> count(n, 0);
-    for (const auto &k : ks) {
-        const auto &owner = ring.ownerOf(k);
-        const auto it = std::find(ring.nodes().begin(),
-                                  ring.nodes().end(), owner);
-        ASSERT_NE(it, ring.nodes().end());
-        ++count[static_cast<size_t>(it - ring.nodes().begin())];
-    }
-    const double fair = static_cast<double>(ks.size()) / n;
-    for (size_t i = 0; i < n; ++i) {
-        EXPECT_GT(count[i], fair / 3.0) << ring.nodes()[i];
-        EXPECT_LT(count[i], fair * 3.0) << ring.nodes()[i];
+    for (const auto &ns : sets) {
+        const ShardRing ring(ns);
+        const size_t n = ring.numNodes();
+        std::vector<size_t> count(n, 0);
+        std::vector<bool> left_out(n, false);
+        for (const auto &k : ks) {
+            const auto &owner = ring.ownerOf(k);
+            const auto it = std::find(ring.nodes().begin(),
+                                      ring.nodes().end(), owner);
+            ASSERT_NE(it, ring.nodes().end());
+            ++count[static_cast<size_t>(it - ring.nodes().begin())];
+            const auto reps = ring.replicasOf(k, 2);
+            for (size_t i = 0; i < n; ++i)
+                if (std::find(reps.begin(), reps.end(),
+                              ring.nodes()[i]) == reps.end())
+                    left_out[i] = true;
+        }
+        const double fair = static_cast<double>(ks.size()) / n;
+        for (size_t i = 0; i < n; ++i) {
+            EXPECT_GT(count[i], fair / 3.0) << ring.nodes()[i];
+            EXPECT_LT(count[i], fair * 2.0) << ring.nodes()[i];
+            EXPECT_TRUE(left_out[i]) << ring.nodes()[i];
+        }
     }
 }
 

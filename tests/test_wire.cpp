@@ -596,7 +596,7 @@ TEST_F(WireTcpTest, DisconnectCancelsSearchAndQueuedDeadlineExpires)
     ASSERT_TRUE(sendLine(fd2, searchLine(",\"deadline_ms\":1")));
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
 
-    closeSocket(fd1); // peerClosed() fires the running CancelToken
+    closeSocket(fd1); // EOF on the loop cancels the running search
 
     std::string out;
     ASSERT_EQ(reader2.readLine(&out, 60000), LineReader::Status::Line);

@@ -215,8 +215,8 @@ _SITE_TOKEN_RE = re.compile(r"[a-z][a-z0-9_.]*[a-z0-9]")
 
 def site_tokens(s: str) -> Set[str]:
     """Dotted-name tokens inside an MSE_FAULTS-ish string: splitting on
-    anything outside [a-z0-9_.] keeps `net.accept.poll` from also
-    matching `net.accept`."""
+    anything outside [a-z0-9_.] keeps `server.wake.read` from also
+    matching `server.wake`."""
     return set(_SITE_TOKEN_RE.findall(s))
 
 

@@ -22,7 +22,7 @@
  * Usage:
  *   mse_serve [--port N] [--store FILE] [--samples N]
  *             [--deadline-s S] [--queue N] [--executors N]
- *             [--max-conns N] [--threaded]
+ *             [--max-conns N]
  *             [--self HOST:PORT --peers H:P,H:P,... [--replicas R]]
  *             [--probe-interval-ms N] [--down-after N]
  */
@@ -90,7 +90,7 @@ usage(const char *argv0)
         stderr,
         "usage: %s [--port N] [--store FILE] [--samples N]\n"
         "          [--deadline-s S] [--queue N] [--fsync]\n"
-        "          [--executors N] [--max-conns N] [--threaded]\n"
+        "          [--executors N] [--max-conns N]\n"
         "  --port N        listen port on 127.0.0.1 (default: "
         "ephemeral)\n"
         "  --store FILE    mapping-store backing file (default: "
@@ -106,9 +106,6 @@ usage(const char *argv0)
         "per-request\n"
         "                  results are bit-identical at any value\n"
         "  --max-conns N   concurrent connection cap (default: 32)\n"
-        "  --threaded      thread-per-connection front end instead "
-        "of\n"
-        "                  the event loop (reference implementation)\n"
         "cluster mode:\n"
         "  --self H:P      this daemon's advertised address (must "
         "match\n"
@@ -176,8 +173,6 @@ main(int argc, char **argv)
             srv_cfg.max_connections = static_cast<size_t>(
                 std::max<long long>(1, std::atoll(val)));
             ++i;
-        } else if (arg == "--threaded") {
-            srv_cfg.backend = mse::ServerConfig::Backend::Threaded;
         } else if (arg == "--self" && val) {
             cluster_self = val;
             ++i;
@@ -334,11 +329,7 @@ main(int argc, char **argv)
 
     std::printf("LISTENING %u\n", server.port());
     std::fflush(stdout);
-    std::fprintf(stderr, "backend: %s, executors: %zu\n",
-                 srv_cfg.backend ==
-                         mse::ServerConfig::Backend::Threaded
-                     ? "threaded"
-                     : "event",
+    std::fprintf(stderr, "backend: event, executors: %zu\n",
                  service.executors());
     if (!service.store().path().empty()) {
         std::fprintf(stderr, "store: %s (%zu entries)\n",

@@ -551,9 +551,9 @@ class RegistryHelpersTest(unittest.TestCase):
         self.assertEqual(arrays, {"kAlwaysKeys": ["kUptime"]})
 
     def test_site_tokens_no_prefix_collision(self):
-        toks = regs.site_tokens("net.accept.poll:every:2:EINTR")
-        self.assertIn("net.accept.poll", toks)
-        self.assertNotIn("net.accept", toks)
+        toks = regs.site_tokens("server.wake.read:every:2:EINTR")
+        self.assertIn("server.wake.read", toks)
+        self.assertNotIn("server.wake", toks)
 
 
 class OutputTest(unittest.TestCase):
