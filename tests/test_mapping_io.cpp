@@ -67,6 +67,13 @@ struct BadInput
     const char *why;
 };
 
+// Name each case by its reason, so test names do not carry the
+// addresses of the string literals (which change from run to run).
+void PrintTo(const BadInput &p, std::ostream *os)
+{
+    *os << p.why;
+}
+
 class MappingIoRejectsP : public ::testing::TestWithParam<BadInput>
 {
 };

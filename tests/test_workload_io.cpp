@@ -61,6 +61,13 @@ struct BadWorkload
     const char *why;
 };
 
+// Name each case by its reason, so test names do not carry the
+// addresses of the string literals (which change from run to run).
+void PrintTo(const BadWorkload &p, std::ostream *os)
+{
+    *os << p.why;
+}
+
 class WorkloadIoRejectsP : public ::testing::TestWithParam<BadWorkload>
 {
 };
