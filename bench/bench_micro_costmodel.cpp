@@ -23,7 +23,6 @@
 #include "mappers/gamma.hpp"
 #include "mappers/random_pruned.hpp"
 #include "model/batch_eval.hpp"
-#include "model/eval_cache.hpp"
 #include "model/eval_plan.hpp"
 #include "service/mapping_store.hpp"
 #include "sparse/sparse_model.hpp"
@@ -130,30 +129,6 @@ BM_MappingCanonicalHash(benchmark::State &state)
 BENCHMARK(BM_MappingCanonicalHash);
 
 void
-BM_EvalCacheHit(benchmark::State &state)
-{
-    const Workload wl = resnetConv4();
-    const ArchConfig arch = accelB();
-    MapSpace space(wl, arch);
-    Rng rng(8);
-    std::vector<Mapping> pool;
-    for (int i = 0; i < 64; ++i)
-        pool.push_back(space.randomMapping(rng));
-    EvalCache cache(16);
-    CostEvalFn inner = [&](const Mapping &m) {
-        return CostModel::evaluate(wl, arch, m);
-    };
-    for (const auto &m : pool)
-        cache.getOrCompute(m, inner); // warm: everything memoized
-    size_t i = 0;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            cache.getOrCompute(pool[i++ % pool.size()], inner));
-    }
-}
-BENCHMARK(BM_EvalCacheHit);
-
-void
 BM_PlannedEvalConv(benchmark::State &state)
 {
     // The scalar planned path: same analytical model as
@@ -199,42 +174,6 @@ BM_SoABatchEvalConv(benchmark::State &state)
                             static_cast<int64_t>(pool.size()));
 }
 BENCHMARK(BM_SoABatchEvalConv);
-
-void
-BM_IncrementalEvalChild(benchmark::State &state)
-{
-    // Offspring re-evaluation against memoized parent rows: a pool of
-    // mutateTile children, each re-costed from its parent's access
-    // rows (with the provability check on the hot path; children whose
-    // delta is not provable fall back to a full planned evaluation,
-    // exactly as in the pipeline).
-    const Workload wl = resnetConv4();
-    const ArchConfig arch = accelB();
-    const EvalPlan plan = EvalPlan::build(wl, arch);
-    MapSpace space(wl, arch);
-    Rng rng(9);
-    const Mapping parent = space.randomMapping(rng);
-    EvalScratch scratch;
-    CostResult out;
-    std::vector<TensorLevelAccess> parent_rows;
-    evaluatePlanned(plan, parent, scratch, out, &parent_rows);
-    std::vector<Mapping> children;
-    for (int i = 0; i < 64; ++i) {
-        Mapping child = parent;
-        GammaMapper::mutateTile(space, child, rng);
-        space.repair(child);
-        children.push_back(std::move(child));
-    }
-    size_t i = 0;
-    for (auto _ : state) {
-        const Mapping &child = children[i++ % children.size()];
-        if (!evaluateIncremental(plan, child, parent,
-                                 parent_rows.data(), scratch, out))
-            evaluatePlanned(plan, child, scratch, out);
-        benchmark::DoNotOptimize(out);
-    }
-}
-BENCHMARK(BM_IncrementalEvalChild);
 
 void
 BM_MappingValidation(benchmark::State &state)
@@ -341,17 +280,16 @@ BENCHMARK(BM_StoreLookupNear)->Unit(benchmark::kMicrosecond);
  * the parallel eval layer). Replays a GA-population-shaped candidate
  * stream — elites copied verbatim across generations plus offspring
  * that escape mutation — through SearchTracker::evaluateBatch at
- * 1/2/4/8 threads, with and without the memoizing eval cache, and
- * emits BENCH_eval_throughput.json so later PRs can track the numbers.
+ * 1/2/4/8 threads, on the legacy per-mapping path and the planned
+ * batch path, and emits BENCH_eval_throughput.json so the numbers can
+ * be tracked over time.
  */
 struct ThroughputSample
 {
     unsigned threads = 1;
-    bool cache = false;
-    bool plan = false; ///< pipelined (EvalPlan+SoA) vs. legacy per-mapping
+    bool plan = false; ///< batch evaluator (EvalPlan+SoA) vs. legacy
     double evals_per_sec = 0.0;
-    double hit_rate = 0.0;
-    double speedup = 1.0; ///< vs. 1 thread, no cache, legacy
+    double speedup = 1.0; ///< vs. 1 thread, legacy
 };
 
 std::vector<Mapping>
@@ -360,8 +298,7 @@ gaPopulationStream(const MapSpace &space, size_t generations,
 {
     // Elite genomes ride along unchanged each generation; offspring
     // clone a parent and mutate with probability < 1, so a realistic
-    // fraction of the stream is exact duplicates — the structure the
-    // eval cache exploits.
+    // fraction of the stream is exact duplicates.
     Rng rng(0xbeef);
     std::vector<Mapping> pop;
     for (size_t i = 0; i < pop_size; ++i)
@@ -388,32 +325,18 @@ gaPopulationStream(const MapSpace &space, size_t generations,
 
 ThroughputSample
 measureThroughput(const std::vector<Mapping> &stream, const Workload &wl,
-                  const ArchConfig &arch, unsigned threads, bool use_cache,
-                  bool use_plan)
+                  const ArchConfig &arch, unsigned threads, bool use_plan)
 {
     ThreadPool::setGlobalThreads(threads);
-    EvalCache cache(16);
-    BatchCostEvaluator::Options popts;
-    popts.use_cache = use_cache;
-    // The replayed stream carries no parent hints, so incremental
-    // re-evaluation could never fire here; keep it off so the plan rows
-    // measure the SoA+store pipeline without dead row-keeping work.
-    popts.use_incremental = false;
-    BatchCostEvaluator pipeline(wl, arch, popts);
+    BatchCostEvaluator pipeline(wl, arch);
 
     EvalFn eval;
     if (use_plan) {
         eval = BatchableEval{&pipeline};
     } else {
-        EvalFn base = [&wl, &arch](const Mapping &m) {
+        eval = [&wl, &arch](const Mapping &m) {
             return CostModel::evaluate(wl, arch, m);
         };
-        eval = base;
-        if (use_cache) {
-            eval = [&cache, base](const Mapping &m) {
-                return cache.getOrCompute(m, base);
-            };
-        }
     }
     SearchBudget budget;
     budget.max_samples = stream.size();
@@ -441,12 +364,9 @@ measureThroughput(const std::vector<Mapping> &stream, const Workload &wl,
 
     ThroughputSample s;
     s.threads = threads;
-    s.cache = use_cache;
     s.plan = use_plan;
     s.evals_per_sec =
         secs > 0.0 ? static_cast<double>(stream.size()) / secs : 0.0;
-    if (use_cache)
-        s.hit_rate = use_plan ? pipeline.cacheHitRate() : cache.hitRate();
     return s;
 }
 
@@ -496,12 +416,10 @@ measureKernelRate(const std::vector<Mapping> &stream, const Workload &wl,
                : 0.0;
 }
 
-// Single-thread plan-path numbers of this run, consumed by the gate.
+// Single-thread plan-path rate of this run, consumed by the gate.
 double g_plan_uncached = 0.0;
-double g_plan_cached = 0.0;
-// In-run legacy-vs-planned speedup ratios (machine-independent).
+// In-run legacy-vs-planned speedup ratio (machine-independent).
 double g_speedup_uncached = 0.0;
-double g_speedup_cached = 0.0;
 // Raw scalar-vs-SoA kernel rates and their in-run ratio.
 double g_kernel_scalar = 0.0;
 double g_kernel_soa = 0.0;
@@ -530,26 +448,23 @@ runThroughputSweep()
 
     std::vector<ThroughputSample> samples;
     for (const bool use_plan : {false, true}) {
-        for (const bool use_cache : {false, true}) {
-            for (const unsigned threads : thread_counts) {
-                // Warm-up pass to populate caches and park workers.
-                measureThroughput(stream, wl, arch, threads, use_cache,
-                                  use_plan);
-                // Best-of-N: on a contended box a single pass can land
-                // in a noisy scheduling window; the max over a few
-                // passes is the closest observable to the machine's
-                // actual capability, and taking it for every row keeps
-                // the speedup ratios like-for-like.
-                ThroughputSample best;
-                for (size_t rep = 0;
-                     rep < bench::envSize("MSE_BENCH_REPS", 3); ++rep) {
-                    ThroughputSample cur = measureThroughput(
-                        stream, wl, arch, threads, use_cache, use_plan);
-                    if (cur.evals_per_sec > best.evals_per_sec)
-                        best = cur;
-                }
-                samples.push_back(best);
+        for (const unsigned threads : thread_counts) {
+            // Warm-up pass to populate caches and park workers.
+            measureThroughput(stream, wl, arch, threads, use_plan);
+            // Best-of-N: on a contended box a single pass can land in
+            // a noisy scheduling window; the max over a few passes is
+            // the closest observable to the machine's actual
+            // capability, and taking it for every row keeps the
+            // speedup ratios like-for-like.
+            ThroughputSample best;
+            for (size_t rep = 0;
+                 rep < bench::envSize("MSE_BENCH_REPS", 3); ++rep) {
+                ThroughputSample cur =
+                    measureThroughput(stream, wl, arch, threads, use_plan);
+                if (cur.evals_per_sec > best.evals_per_sec)
+                    best = cur;
             }
+            samples.push_back(best);
         }
     }
     ThreadPool::setGlobalThreads(0); // back to auto
@@ -571,20 +486,18 @@ runThroughputSweep()
     for (auto &s : samples)
         s.speedup = baseline > 0.0 ? s.evals_per_sec / baseline : 1.0;
 
-    // Single-thread rows of each (plan, cache) corner, measured in this
-    // very run — the speedup factors below always compare numbers from
-    // the same binary on the same machine.
-    auto single = [&](bool plan, bool cache) {
+    // Single-thread rows of each path, measured in this very run — the
+    // speedup factor below always compares numbers from the same
+    // binary on the same machine.
+    auto single = [&](bool plan) {
         for (const auto &s : samples) {
-            if (s.threads == 1 && s.plan == plan && s.cache == cache)
+            if (s.threads == 1 && s.plan == plan)
                 return s.evals_per_sec;
         }
         return 0.0;
     };
-    const double legacy_uncached = single(false, false);
-    const double legacy_cached = single(false, true);
-    const double plan_uncached = single(true, false);
-    const double plan_cached = single(true, true);
+    const double legacy_uncached = single(false);
+    const double plan_uncached = single(true);
 
     std::printf("\nEval throughput (GA-population stream, %zu "
                 "candidates, batch 128, resnet_conv4 on accel-B, "
@@ -596,19 +509,16 @@ runThroughputSweep()
                     "only restate the %u-core ceiling)\n",
                     detected_cores, detected_cores);
     }
-    std::printf("%8s %6s %6s %14s %9s %9s\n", "path", "threads",
-                "cache", "evals/sec", "hit-rate", "speedup");
+    std::printf("%8s %6s %14s %9s\n", "path", "threads", "evals/sec",
+                "speedup");
     for (const auto &s : samples) {
-        std::printf("%8s %6u %6s %14.0f %8.1f%% %8.2fx\n",
+        std::printf("%8s %6u %14.0f %8.2fx\n",
                     s.plan ? "plan" : "legacy", s.threads,
-                    s.cache ? "on" : "off", s.evals_per_sec,
-                    100.0 * s.hit_rate, s.speedup);
+                    s.evals_per_sec, s.speedup);
     }
-    std::printf("single-thread plan speedup: %.2fx uncached, "
-                "%.2fx cached\n",
+    std::printf("single-thread plan speedup: %.2fx\n",
                 legacy_uncached > 0.0 ? plan_uncached / legacy_uncached
-                                      : 0.0,
-                legacy_cached > 0.0 ? plan_cached / legacy_cached : 0.0);
+                                      : 0.0);
     std::printf("raw kernel (no tracker): scalar %.0f evals/s, SoA %.0f "
                 "evals/s, speedup %.2fx\n",
                 kernel_scalar, kernel_soa,
@@ -625,13 +535,9 @@ runThroughputSweep()
     JsonValue &st = doc["single_thread"];
     st = JsonValue::object();
     st["legacy_uncached_evals_per_sec"] = legacy_uncached;
-    st["legacy_cached_evals_per_sec"] = legacy_cached;
     st["plan_uncached_evals_per_sec"] = plan_uncached;
-    st["plan_cached_evals_per_sec"] = plan_cached;
     st["plan_speedup_uncached"] =
         legacy_uncached > 0.0 ? plan_uncached / legacy_uncached : 0.0;
-    st["plan_speedup_cached"] =
-        legacy_cached > 0.0 ? plan_cached / legacy_cached : 0.0;
     st["kernel_scalar_evals_per_sec"] = kernel_scalar;
     st["kernel_soa_evals_per_sec"] = kernel_soa;
     st["kernel_speedup"] =
@@ -642,20 +548,15 @@ runThroughputSweep()
         JsonValue row = JsonValue::object();
         row["path"] = s.plan ? "plan" : "legacy";
         row["threads"] = static_cast<uint64_t>(s.threads);
-        row["cache"] = s.cache;
         row["evals_per_sec"] = s.evals_per_sec;
-        row["hit_rate"] = s.hit_rate;
         row["speedup_vs_serial_uncached"] = s.speedup;
         results.push(std::move(row));
     }
     bench::writeBenchJson("BENCH_eval_throughput.json", doc);
 
     g_plan_uncached = plan_uncached;
-    g_plan_cached = plan_cached;
     g_speedup_uncached =
         legacy_uncached > 0.0 ? plan_uncached / legacy_uncached : 0.0;
-    g_speedup_cached =
-        legacy_cached > 0.0 ? plan_cached / legacy_cached : 0.0;
     g_kernel_scalar = kernel_scalar;
     g_kernel_soa = kernel_soa;
     g_kernel_speedup =
@@ -708,9 +609,7 @@ perfRegressionGate()
     } checks[] = {
         {"kernel_speedup", g_kernel_speedup, true},
         {"plan_speedup_uncached", g_speedup_uncached, true},
-        {"plan_speedup_cached", g_speedup_cached, true},
         {"plan_uncached_evals_per_sec", g_plan_uncached, false},
-        {"plan_cached_evals_per_sec", g_plan_cached, false},
     };
     for (const auto &c : checks) {
         if (!c.ratio && !absolute)

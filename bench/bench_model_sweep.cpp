@@ -8,9 +8,9 @@
  *   1. warm, MSE_THREADS=1   — determinism reference
  *   2. warm, MSE_THREADS=4   — must be bit-identical to (1)
  *   3. cold (warm_start off) — sample-efficiency reference
- * and reports dedup savings (unique jobs vs. total layers), eval-cache
- * hit rates, and how many samples warm-started jobs needed to reach the
- * cold run's incumbent EDP (paper Figs. 10-11, at network scale).
+ * and reports dedup savings (unique jobs vs. total layers) and how many
+ * samples warm-started jobs needed to reach the cold run's incumbent
+ * EDP (paper Figs. 10-11, at network scale).
  *
  * `bench_model_sweep smoke` (or MSE_BENCH_SMOKE=1) runs a tiny 3-layer
  * model on Accel-A only and exits non-zero if dedup, warm-start, or
@@ -170,14 +170,8 @@ printReport(const SweepReport &r)
                 r.model.c_str(), r.arch_name.c_str(), st.total_layers,
                 st.unique_jobs, st.dedup_hits, st.warm_jobs,
                 st.cold_jobs);
-    std::printf("  samples: %zu spent vs %zu without dedup; "
-                "eval-cache hit rate %.1f%%\n",
-                st.samples_spent, st.samples_without_dedup,
-                st.eval_cache_hits + st.eval_cache_misses > 0
-                    ? 100.0 * static_cast<double>(st.eval_cache_hits) /
-                        static_cast<double>(st.eval_cache_hits +
-                                            st.eval_cache_misses)
-                    : 0.0);
+    std::printf("  samples: %zu spent vs %zu without dedup\n",
+                st.samples_spent, st.samples_without_dedup);
     std::printf("  model totals: EDP %.4e, energy %.4e uJ, "
                 "latency %.4e cycles\n",
                 r.warm.totalEdp(), r.warm.totalEnergyUj(),
@@ -218,10 +212,6 @@ writeJson(const std::vector<SweepReport> &reports, size_t samples,
         row["samples_spent"] = static_cast<uint64_t>(st.samples_spent);
         row["samples_without_dedup"] =
             static_cast<uint64_t>(st.samples_without_dedup);
-        row["eval_cache_hits"] =
-            static_cast<uint64_t>(st.eval_cache_hits);
-        row["eval_cache_misses"] =
-            static_cast<uint64_t>(st.eval_cache_misses);
         row["total_edp"] = r.warm.totalEdp();
         row["total_energy_uj"] = r.warm.totalEnergyUj();
         row["total_latency_cycles"] = r.warm.totalLatencyCycles();

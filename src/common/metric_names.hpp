@@ -68,12 +68,6 @@ inline constexpr const char *kSearchTimedOut = "search.timed_out";
 inline constexpr const char *kSearchCancelled = "search.cancelled";
 inline constexpr const char *kSearchSamplesTotal =
     "search.samples_total";
-inline constexpr const char *kSearchEvalCacheHits =
-    "search.eval_cache_hits";
-inline constexpr const char *kSearchEvalCacheMisses =
-    "search.eval_cache_misses";
-inline constexpr const char *kSearchEvalCacheHitRate =
-    "search.eval_cache_hit_rate";
 
 // Latency histogram (LatencyHistogram::toJson under "latency").
 inline constexpr const char *kLatencyCount = "latency.count";
@@ -193,8 +187,7 @@ inline constexpr const char *kAlwaysKeys[] = {
     kStoreReplicatedInIgnored, kStoreEntries, kStorePath,
     kStoreMalformedLinesSkipped, kStoreSupersededLines, kStoreDegraded,
     kStoreAppendFailures, kSearchTimedOut, kSearchCancelled,
-    kSearchSamplesTotal, kSearchEvalCacheHits, kSearchEvalCacheMisses,
-    kSearchEvalCacheHitRate, kLatencyCount, kLatencyMeanS,
+    kSearchSamplesTotal, kLatencyCount, kLatencyMeanS,
     kLatencyMinS, kLatencyMaxS, kLatencyP50S, kLatencyP95S,
     kLatencyP99S, kUptimeS, kQueueDepth, kQueueRunning,
     kConfigExecutors, kConfigQueueCapacity,

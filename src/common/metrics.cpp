@@ -147,8 +147,6 @@ ServiceMetrics::onSearchDone(const SearchSample &s)
     if (s.cancelled)
         ++cancelled_;
     samples_total_ += s.samples;
-    eval_cache_hits_ += s.eval_cache_hits;
-    eval_cache_misses_ += s.eval_cache_misses;
 }
 
 void
@@ -203,13 +201,6 @@ ServiceMetrics::toJson() const
     search["timed_out"] = timed_out_;
     search["cancelled"] = cancelled_;
     search["samples_total"] = samples_total_;
-    search["eval_cache_hits"] = eval_cache_hits_;
-    search["eval_cache_misses"] = eval_cache_misses_;
-    const uint64_t queries = eval_cache_hits_ + eval_cache_misses_;
-    search["eval_cache_hit_rate"] = queries > 0
-        ? static_cast<double>(eval_cache_hits_) /
-            static_cast<double>(queries)
-        : 0.0;
     j["latency"] = search_latency_.toJson();
     return j;
 }

@@ -83,8 +83,6 @@ class ServiceMetrics
         bool timed_out = false;
         bool cancelled = false;
         uint64_t samples = 0;
-        uint64_t eval_cache_hits = 0;
-        uint64_t eval_cache_misses = 0;
     };
     void onSearchDone(const SearchSample &s) EXCLUDES(mu_);
 
@@ -125,8 +123,6 @@ class ServiceMetrics
     uint64_t timed_out_ GUARDED_BY(mu_) = 0;
     uint64_t cancelled_ GUARDED_BY(mu_) = 0;
     uint64_t samples_total_ GUARDED_BY(mu_) = 0;
-    uint64_t eval_cache_hits_ GUARDED_BY(mu_) = 0;
-    uint64_t eval_cache_misses_ GUARDED_BY(mu_) = 0;
     LatencyHistogram search_latency_ GUARDED_BY(mu_);
 };
 

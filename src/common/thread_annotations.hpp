@@ -5,7 +5,7 @@
  *
  * The engine stack's core guarantee — bit-identical search results at
  * any MSE_THREADS — rests on a dozen mutex-bearing files (thread pool,
- * eval cache, metrics, service queue, mapping store, TCP server).
+ * metrics, service queue, mapping store, TCP server).
  * Runtime tests and sanitizers can only catch the interleavings they
  * happen to execute; Clang's -Wthread-safety analysis proves the
  * locking discipline for *every* path at compile time, from the

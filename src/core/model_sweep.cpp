@@ -144,7 +144,7 @@ ModelSweep::run(const std::string &model_name,
     }
 
     // --- 3. Execute the two waves as sharded job sets. ---------------
-    // Each job is self-contained (own engine, mapper, cache, RNG), so
+    // Each job is self-contained (own engine, mapper, RNG), so
     // a wave's jobs run concurrently on the pool without ordering
     // effects; nested batch evaluation degrades to inline loops.
     const auto run_job = [&](size_t j) {
@@ -201,7 +201,6 @@ ModelSweep::run(const std::string &model_name,
         rec.best_cost = job.outcome.search.best_cost;
         rec.samples = job.outcome.search.log.samples;
         rec.samples_to_converge = job.outcome.samples_to_converge;
-        rec.eval_cache_hit_rate = job.outcome.evalCacheHitRate();
         res.layers.push_back(std::move(rec));
     }
 
@@ -212,8 +211,6 @@ ModelSweep::run(const std::string &model_name,
     double warm_converge = 0.0, cold_converge = 0.0;
     for (const Job &job : jobs) {
         st.samples_spent += job.outcome.search.log.samples;
-        st.eval_cache_hits += job.outcome.eval_cache_hits;
-        st.eval_cache_misses += job.outcome.eval_cache_misses;
         if (job.root >= 0) {
             ++st.warm_jobs;
             warm_converge +=
@@ -299,8 +296,7 @@ writeSweepCsv(const ModelSweepResult &result, const std::string &path)
     csv.writeRow({"layer_index", "layer_name", "signature", "job",
                   "deduped", "warm_started", "warm_source_layer",
                   "warm_distance", "edp", "energy_uj", "latency_cycles",
-                  "samples", "samples_to_converge",
-                  "eval_cache_hit_rate"});
+                  "samples", "samples_to_converge"});
     for (const auto &r : result.layers) {
         csv.writeRow({std::to_string(r.layer_index), r.layer_name,
                       sigId(r.signature), std::to_string(r.job),
@@ -310,8 +306,7 @@ writeSweepCsv(const ModelSweepResult &result, const std::string &path)
                       fmt(r.best_cost.energy_uj),
                       fmt(r.best_cost.latency_cycles),
                       std::to_string(r.samples),
-                      std::to_string(r.samples_to_converge),
-                      fmt(r.eval_cache_hit_rate)});
+                      std::to_string(r.samples_to_converge)});
     }
     return true;
 }
@@ -332,8 +327,6 @@ writeSweepJson(const ModelSweepResult &result, const std::string &path)
     stats["cold_jobs"] = st.cold_jobs;
     stats["samples_spent"] = st.samples_spent;
     stats["samples_without_dedup"] = st.samples_without_dedup;
-    stats["eval_cache_hits"] = st.eval_cache_hits;
-    stats["eval_cache_misses"] = st.eval_cache_misses;
     stats["mean_converge_samples_warm"] = st.mean_converge_samples_warm;
     stats["mean_converge_samples_cold"] = st.mean_converge_samples_cold;
     stats["wall_seconds"] = st.wall_seconds;
@@ -357,7 +350,6 @@ writeSweepJson(const ModelSweepResult &result, const std::string &path)
         l["latency_cycles"] = r.best_cost.latency_cycles;
         l["samples"] = r.samples;
         l["samples_to_converge"] = r.samples_to_converge;
-        l["cache_hit_rate"] = r.eval_cache_hit_rate;
         layers.push(std::move(l));
     }
     doc["layers"] = std::move(layers);

@@ -23,7 +23,7 @@
  *     fall back to a cold start.
  *  3. *Shard.* Within each of the two waves, jobs are independent and
  *     run as a sharded job set on ThreadPool::global(). Each job owns
- *     its engine, mapper, eval cache, and an Rng seeded from
+ *     its engine, mapper, and an Rng seeded from
  *     (sweep seed, layer signature), so results are bit-identical for
  *     any MSE_THREADS value: layer-level parallelism simply displaces
  *     batch-level parallelism (nested parallelFor runs inline).
@@ -72,7 +72,7 @@ double workloadDistance(SimilarityMetric metric, const Workload &a,
 /** Knobs of one full-model sweep. */
 struct ModelSweepOptions
 {
-    /** Per-layer search options (budget, eval cache, sparse model).
+    /** Per-layer search options (budget, objective, sparse model).
      *  The warm_start strategy and update_replay fields are managed by
      *  the sweep itself and need not be set. A CancelToken placed in
      *  layer.budget.cancel cancels the whole sweep cooperatively:
@@ -126,7 +126,6 @@ struct LayerSweepRecord
      *  on this layer itself when deduped). */
     size_t samples = 0;
     size_t samples_to_converge = 0;
-    double eval_cache_hit_rate = 0.0;
 };
 
 /** Sweep-level accounting. */
@@ -143,9 +142,6 @@ struct ModelSweepStats
 
     /** Queries a dedup-less per-layer loop would have issued. */
     size_t samples_without_dedup = 0;
-
-    size_t eval_cache_hits = 0;
-    size_t eval_cache_misses = 0;
 
     /** Mean samples-to-converge (99.5% criterion) per start kind. */
     double mean_converge_samples_warm = 0.0;

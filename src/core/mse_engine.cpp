@@ -1,10 +1,7 @@
 #include "core/mse_engine.hpp"
 
-#include <memory>
-
 #include "common/thread_annotations.hpp"
 #include "model/batch_eval.hpp"
-#include "model/eval_cache.hpp"
 
 namespace mse {
 
@@ -70,18 +67,11 @@ MseEngine::optimize(const Workload &wl, Mapper &mapper,
     MapSpace space(wl, arch_);
 
     if (!opts.sparse) {
-        // Pipelined path: EvalPlan + SoA batch kernel + memoization
-        // store + incremental offspring re-evaluation, reached from
+        // Planned path: EvalPlan + SoA batch kernel, reached from
         // SearchTracker::evaluateBatch via the BatchableEval target.
         // Objective re-targeting and Pareto capture run as the
-        // pipeline's post hook, so they apply to cache hits too and
-        // memoized entries keep raw (energy, latency) — the same
-        // layering as the sparse wrappers below.
-        BatchCostEvaluator::Options popts;
-        popts.use_cache = opts.use_eval_cache;
-        popts.use_incremental = opts.use_incremental;
-        popts.shards = opts.eval_cache_shards;
-        BatchCostEvaluator pipeline(wl, arch_, popts);
+        // evaluator's post hook.
+        BatchCostEvaluator pipeline(wl, arch_);
 
         ParetoArchive pareto;
         size_t sample_index = 0;
@@ -100,45 +90,18 @@ MseEngine::optimize(const Workload &wl, Mapper &mapper,
         const EvalFn eval = BatchableEval{&pipeline};
         MseOutcome outcome = runSearch(space, eval, mapper, opts, rng);
         outcome.pareto = std::move(pareto);
-        if (opts.use_eval_cache) {
-            outcome.eval_cache_hits = pipeline.cacheHits();
-            outcome.eval_cache_misses = pipeline.cacheMisses();
-        }
         return outcome;
     }
 
     // Sparse: the plan mirrors the dense model only, so the scalar
-    // sparse model runs per mapping.
-    const Workload sparse_wl = wl;
-    const ArchConfig arch = arch_;
-    const SparseCostModel model = sparse_model_;
-    EvalFn eval = [sparse_wl, arch, model](const Mapping &m) {
-        return model.evaluate(sparse_wl, arch, m);
-    };
-
-    // Memoize duplicate genomes behind the canonical-mapping cache. The
-    // cache is scoped to this run: its key does not encode the workload
-    // or architecture.
-    std::shared_ptr<EvalCache> cache;
-    if (opts.use_eval_cache) {
-        cache = std::make_shared<EvalCache>(opts.eval_cache_shards);
-        EvalFn inner = std::move(eval);
-        eval = [cache, inner](const Mapping &m) {
-            return cache->getOrCompute(m, inner);
-        };
-    }
-
-    // Re-target the scalar the mapper minimizes (identity for Edp).
-    // Outside the cache so memoized entries keep raw (energy, latency).
-    eval = makeObjectiveEvaluator(std::move(eval), opts.objective);
-
-    MseOutcome outcome =
-        optimizeWithEvaluator(space, eval, mapper, opts, rng);
-    if (cache) {
-        outcome.eval_cache_hits = cache->hits();
-        outcome.eval_cache_misses = cache->misses();
-    }
-    return outcome;
+    // sparse model runs per mapping, re-targeted to the objective
+    // (identity for Edp).
+    const EvalFn eval = makeObjectiveEvaluator(
+        [wl, arch = arch_, model = sparse_model_](const Mapping &m) {
+            return model.evaluate(wl, arch, m);
+        },
+        opts.objective);
+    return optimizeWithEvaluator(space, eval, mapper, opts, rng);
 }
 
 } // namespace mse

@@ -32,11 +32,11 @@ struct MseOptions
 
     /**
      * Scalar the mapper minimizes. Edp is the raw cost model; any other
-     * objective wraps the evaluator with makeObjectiveEvaluator *after*
-     * the eval cache, so cached entries stay objective-agnostic. With
-     * Edp the wrapper is the identity, so existing runs are unchanged
-     * bit for bit. Applies to optimize() only — callers of
-     * optimizeWithEvaluator compose their own evaluator.
+     * objective re-targets each result's edp field after the cost
+     * model runs. With Edp the re-targeting is the identity, so
+     * existing runs are unchanged bit for bit. Applies to optimize()
+     * only — callers of optimizeWithEvaluator compose their own
+     * evaluator.
      */
     Objective objective = Objective::Edp;
 
@@ -52,27 +52,6 @@ struct MseOptions
 
     /** Use the sparse cost model (reads densities off the workload). */
     bool sparse = false;
-
-    /**
-     * Memoize cost-model evaluations behind a canonical-mapping cache
-     * (see model/eval_cache.hpp). Transparent to the search: cache hits
-     * still count as samples and produce identical logs; they just skip
-     * the analytical model. Applies to optimize() only — caller-
-     * supplied evaluators may be stateful, so optimizeWithEvaluator
-     * never caches.
-     */
-    bool use_eval_cache = true;
-
-    /** Lock shards of the eval cache (rounded up to a power of two). */
-    size_t eval_cache_shards = 16;
-
-    /**
-     * Within the dense pipeline, re-evaluate GA offspring
-     * incrementally against their hinted parents' memoized access rows
-     * (provably bit-identical, with automatic fallback to full
-     * evaluation). Ignored by sparse runs.
-     */
-    bool use_incremental = true;
 };
 
 /** Outcome of one MSE run. */
@@ -89,21 +68,11 @@ struct MseOutcome
     /** Samples to 99.5% of total improvement. */
     size_t samples_to_converge = 0;
 
-    /** Eval-cache accounting (zero when the cache was disabled). */
+    /** Always 0; kept only because perfbench/ compiles against them. */
     size_t eval_cache_hits = 0;
     size_t eval_cache_misses = 0;
 
     double bestEdp() const { return search.best_cost.edp; }
-
-    /** Fraction of cost-model queries served from the eval cache. */
-    double evalCacheHitRate() const
-    {
-        const double total = static_cast<double>(eval_cache_hits +
-                                                 eval_cache_misses);
-        return total > 0.0
-            ? static_cast<double>(eval_cache_hits) / total
-            : 0.0;
-    }
 };
 
 /** Orchestrates mapping searches for a fixed accelerator. */

@@ -1,10 +1,5 @@
 #include "core/replay_buffer.hpp"
 
-#include <fstream>
-
-#include "mapping/mapping_io.hpp"
-#include "workload/workload_io.hpp"
-
 namespace mse {
 
 void
@@ -32,40 +27,6 @@ ReplayBuffer::mostSimilar(const Workload &wl) const
     if (!best)
         return std::nullopt;
     return *best;
-}
-
-bool
-ReplayBuffer::save(const std::string &path) const
-{
-    std::ofstream out(path);
-    if (!out.good())
-        return false;
-    for (const auto &e : entries_) {
-        out << serializeWorkload(e.workload) << '\n'
-            << serializeMapping(e.mapping) << '\n';
-    }
-    return out.good();
-}
-
-size_t
-ReplayBuffer::load(const std::string &path,
-                   const std::function<CostResult(
-                       const Workload &, const Mapping &)> &eval)
-{
-    std::ifstream in(path);
-    if (!in.good())
-        return 0;
-    size_t loaded = 0;
-    std::string wl_line, map_line;
-    while (std::getline(in, wl_line) && std::getline(in, map_line)) {
-        const auto wl = parseWorkload(wl_line);
-        const auto m = parseMapping(map_line);
-        if (!wl || !m)
-            continue;
-        push(*wl, *m, eval(*wl, *m));
-        ++loaded;
-    }
-    return loaded;
 }
 
 std::optional<ReplayEntry>

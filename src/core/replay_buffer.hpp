@@ -9,9 +9,7 @@
  */
 #pragma once
 
-#include <functional>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "mapping/mapping.hpp"
@@ -52,23 +50,6 @@ class ReplayBuffer
     /** The most recently pushed compatible entry (warm-start-by-
      *  previous-layer); nullopt when none. */
     std::optional<ReplayEntry> mostRecent(const Workload &wl) const;
-
-    /**
-     * Persist the buffer to a text file (one workload + mapping pair
-     * per entry) so a deployment flow can cache MSE results across
-     * runs. Returns false on I/O failure.
-     */
-    bool save(const std::string &path) const;
-
-    /**
-     * Load entries from a file produced by save(), appending to the
-     * current contents. Stored costs are not persisted; entries are
-     * re-labeled with the supplied evaluator. Returns the number of
-     * entries loaded (malformed lines are skipped).
-     */
-    size_t load(const std::string &path,
-                const std::function<CostResult(const Workload &,
-                                               const Mapping &)> &eval);
 
   private:
     size_t capacity_;

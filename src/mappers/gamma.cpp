@@ -4,7 +4,6 @@
 
 #include "common/math_util.hpp"
 #include "common/pareto.hpp"
-#include "model/batch_eval.hpp"
 
 namespace mse {
 
@@ -202,19 +201,11 @@ GammaMapper::search(const MapSpace &space, const EvalFn &eval,
 
         // Build the whole offspring generation, then evaluate it as one
         // parallel batch (reduced in submission order by the tracker).
-        // Each derived child carries its primary parent as an eval hint
-        // (parents belong to the surviving previous generation, so
-        // their access rows are already memoized); random immigrants
-        // have no parent. Hints only unlock incremental re-evaluation —
-        // results are bit-identical with or without them.
         std::vector<Mapping> offspring;
-        std::vector<EvalHint> hints;
         offspring.reserve(pop.size() - next.size());
-        hints.reserve(pop.size() - next.size());
         while (next.size() + offspring.size() < pop.size()) {
             if (rng.chance(cfg_.random_immigrant_prob)) {
                 offspring.push_back(space.randomMapping(rng));
-                hints.push_back({});
                 continue;
             }
             const Individual &pa = tournament();
@@ -239,9 +230,8 @@ GammaMapper::search(const MapSpace &space, const EvalFn &eval,
             }
             space.repair(child);
             offspring.push_back(std::move(child));
-            hints.push_back({&pa.mapping});
         }
-        const auto &costs = tracker.evaluateBatch(offspring, &hints);
+        const auto &costs = tracker.evaluateBatch(offspring);
         for (size_t i = 0; i < costs.size(); ++i)
             next.push_back(Individual{offspring[i], costs[i]});
         pop.swap(next);

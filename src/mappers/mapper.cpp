@@ -90,8 +90,7 @@ SearchTracker::evaluate(const Mapping &m)
 }
 
 const std::vector<CostResult> &
-SearchTracker::evaluateBatch(const std::vector<Mapping> &batch,
-                             const std::vector<EvalHint> *hints)
+SearchTracker::evaluateBatch(const std::vector<Mapping> &batch)
 {
     // Truncate to the remaining sample budget so batch-converted mappers
     // never overshoot max_samples; the candidate sequence (and thus the
@@ -102,13 +101,11 @@ SearchTracker::evaluateBatch(const std::vector<Mapping> &batch,
     const size_t n = std::min(batch.size(), remaining);
 
     if (const BatchableEval *be = eval_.target<BatchableEval>()) {
-        // Pipelined batch evaluator: hand the whole batch (and hints)
-        // over in one call; it fans out internally and writes every
-        // slot, so resize-without-clearing reuses result capacity.
+        // Batch evaluator: hand the whole batch over in one call; it
+        // fans out internally and writes every slot, so resize-without-
+        // clearing reuses result capacity.
         batch_results_.resize(n);
-        const EvalHint *h =
-            hints && hints->size() >= n ? hints->data() : nullptr;
-        be->impl->evaluateBatch(batch.data(), h, n,
+        be->impl->evaluateBatch(batch.data(), nullptr, n,
                                 batch_results_.data());
         const double secs = elapsedSeconds();
         for (size_t i = 0; i < n; ++i)

@@ -24,8 +24,6 @@
 
 namespace mse {
 
-struct EvalHint; // model/batch_eval.hpp
-
 /**
  * Evaluation callback: mapping -> cost (infinite EDP when illegal).
  *
@@ -37,8 +35,8 @@ struct EvalHint; // model/batch_eval.hpp
  * without internal synchronization. Every built-in evaluator satisfies
  * this: CostModel::evaluate is stateless, SparseCostModel::evaluate is
  * const over value-captured inputs, the sparsity-aware scorers capture
- * by value, EvalCache::getOrCompute locks internally, and MseEngine's
- * Pareto-tracking wrapper serializes its archive behind a mutex.
+ * by value, and MseEngine's Pareto-tracking wrapper serializes its
+ * archive behind a mutex.
  */
 using EvalFn = std::function<CostResult(const Mapping &)>;
 
@@ -155,16 +153,13 @@ class SearchTracker
      * is checked at batch granularity, never mid-batch, to keep the
      * candidate sequence deterministic.
      *
-     * When the evaluator is a BatchableEval (the engine's pipelined
-     * batch evaluator), the whole batch — plus the optional per-
-     * candidate hints, parallel to the batch — is handed to the
-     * pipeline in one call; otherwise candidates are fanned out to the
-     * callback one at a time and hints are ignored. Results are
-     * bit-identical either way, so mappers pass hints unconditionally.
+     * When the evaluator is a BatchableEval (the engine's batch
+     * evaluator), the whole batch is handed to it in one call;
+     * otherwise candidates are fanned out to the callback one at a
+     * time. Results are bit-identical either way.
      */
     const std::vector<CostResult> &
-    evaluateBatch(const std::vector<Mapping> &batch,
-                  const std::vector<EvalHint> *hints = nullptr);
+    evaluateBatch(const std::vector<Mapping> &batch);
 
     /** Seconds since construction. */
     double elapsedSeconds() const;

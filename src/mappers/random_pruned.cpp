@@ -36,9 +36,7 @@ RandomPrunedMapper::search(const MapSpace &space, const EvalFn &eval,
             }
             batch.push_back(std::move(m));
         }
-        // Random samples have no parents: explicitly no eval hints (the
-        // batch still flows through the pipelined SoA evaluator).
-        tracker.evaluateBatch(batch, nullptr);
+        tracker.evaluateBatch(batch);
     }
     tracker.endGeneration();
     return tracker.takeResult();

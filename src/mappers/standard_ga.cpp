@@ -4,7 +4,6 @@
 
 #include "common/math_util.hpp"
 #include "common/permutation.hpp"
-#include "model/batch_eval.hpp"
 
 namespace mse {
 
@@ -62,13 +61,8 @@ StandardGaMapper::search(const MapSpace &space, const EvalFn &eval,
         };
 
         // Build the offspring generation, then evaluate as one batch.
-        // Children hint their primary parent (alive in the previous
-        // generation) so un- or lightly-mutated genomes re-evaluate
-        // incrementally; results are identical with or without hints.
         std::vector<Mapping> offspring;
-        std::vector<EvalHint> hints;
         offspring.reserve(pop_size - next.size());
-        hints.reserve(pop_size - next.size());
         while (next.size() + offspring.size() < pop_size) {
             const Individual &pa = parent();
             Mapping child = pa.mapping;
@@ -120,9 +114,8 @@ StandardGaMapper::search(const MapSpace &space, const EvalFn &eval,
             // blown capacities) die with infinite fitness. This is the
             // handicap Gamma's per-axis operators avoid.
             offspring.push_back(std::move(child));
-            hints.push_back({&pa.mapping});
         }
-        const auto &costs = tracker.evaluateBatch(offspring, &hints);
+        const auto &costs = tracker.evaluateBatch(offspring);
         for (size_t i = 0; i < costs.size(); ++i)
             next.push_back({offspring[i], costs[i].edp});
         pop.swap(next);

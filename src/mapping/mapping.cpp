@@ -138,9 +138,9 @@ maskBypasses(const std::vector<uint8_t> &mask)
 }
 
 /**
- * FNV-1a step: cheap per-element combine on the hot eval-cache path.
- * Collisions are safe (the cache verifies keys with operator==), so a
- * fast sequential hash beats a cryptographic-strength one here.
+ * FNV-1a step: cheap per-element combine. Collisions are safe (callers
+ * verify keys with operator==), so a fast sequential hash beats a
+ * cryptographic-strength one here.
  */
 uint64_t
 hashCombine(uint64_t h, uint64_t v)

@@ -106,14 +106,13 @@ class Mapping
      * Canonical 64-bit hash, consistent with operator==: two mappings
      * that are equal up to (a) permutations within runs of unit-factor
      * loops and (b) an explicit keep-everything mask vs. an empty one
-     * hash identically. Built for the eval-cache key, where canonical
-     * equivalence implies identical cost.
+     * hash identically. Canonical equivalence implies identical cost.
      */
     uint64_t hash() const;
 
     /**
-     * Canonical equality (same equivalence classes as hash()); the
-     * eval cache relies on equal mappings having equal cost.
+     * Canonical equality (same equivalence classes as hash()); equal
+     * mappings have equal cost.
      */
     bool operator==(const Mapping &other) const;
     bool operator!=(const Mapping &other) const

@@ -29,11 +29,7 @@ struct SoaScratch
 };
 
 /**
- * Evaluate one tile of k candidates. When idx is non-null, candidate j
- * is batch[idx[j]] and its result goes to out[idx[j]]; otherwise
- * candidate j is batch[j] and its result goes to out[j]. rows_slab (may
- * be null) receives the access rows of valid candidates at slab slot
- * j*L*T — slab slots are tile-local.
+ * Evaluate one tile of k candidates: batch[j] into out[j].
  *
  * Stage order mirrors validateMapping's check order, and every stage
  * only assigns err[j] while it is still Ok, so each candidate reports
@@ -43,9 +39,8 @@ struct SoaScratch
  * so every CostResult is bit-identical to the scalar path.
  */
 void
-soaTile(const EvalPlan &p, const Mapping *batch, const uint32_t *idx,
-        size_t k, CostResult *out, TensorLevelAccess *rows_slab,
-        SoaScratch &s)
+soaTile(const EvalPlan &p, const Mapping *batch, size_t k,
+        CostResult *out, SoaScratch &s)
 {
     const int L = p.L, D = p.D, T = p.T;
     const size_t LD = static_cast<size_t>(L) * D;
@@ -65,20 +60,13 @@ soaTile(const EvalPlan &p, const Mapping *batch, const uint32_t *idx,
         s.err.resize(k);
     detail::ensureScratch(p, s.es);
 
-    const auto cand = [&](size_t j) -> const Mapping & {
-        return batch[idx ? idx[j] : j];
-    };
-    const auto result = [&](size_t j) -> CostResult & {
-        return out[idx ? idx[j] : j];
-    };
-
     // Candidates arrive as freshly heap-built Mappings whose per-level
     // arrays are scattered small allocations; a linear walk stalls on
     // ~10 dependent cache misses per candidate. Issuing the leaf-array
     // prefetches for the whole tile up front overlaps those misses
     // across candidates before Stage A starts consuming them.
     for (size_t j = 0; j < k; ++j) {
-        const Mapping &m = cand(j);
+        const Mapping &m = batch[j];
         const int nl = m.numLevels();
         for (int l = 0; l < nl; ++l) {
             const LevelMapping &lvl = m.level(l);
@@ -95,7 +83,7 @@ soaTile(const EvalPlan &p, const Mapping *batch, const uint32_t *idx,
     // DRAM keeping every tensor.
     for (size_t j = 0; j < k; ++j) {
         s.err[j] = MappingError::Ok;
-        const Mapping &m = cand(j);
+        const Mapping &m = batch[j];
         if (m.numLevels() != L) {
             s.err[j] = MappingError::BadShape;
             continue;
@@ -151,7 +139,7 @@ soaTile(const EvalPlan &p, const Mapping *batch, const uint32_t *idx,
     for (size_t j = 0; j < k; ++j) {
         if (s.err[j] != MappingError::Ok)
             continue;
-        const Mapping &m = cand(j);
+        const Mapping &m = batch[j];
         for (int l = 0; l < L; ++l) {
             const LevelMapping &lvl = m.level(l);
             for (int d = 0; d < D; ++d) {
@@ -259,7 +247,7 @@ soaTile(const EvalPlan &p, const Mapping *batch, const uint32_t *idx,
         for (size_t j = 0; j < k; ++j) {
             if (s.err[j] != MappingError::Ok)
                 continue;
-            const Mapping &m = cand(j);
+            const Mapping &m = batch[j];
             double resident = 0.0;
             for (int t = 0; t < T; ++t) {
                 if (m.keeps(l, t)) {
@@ -276,7 +264,7 @@ soaTile(const EvalPlan &p, const Mapping *batch, const uint32_t *idx,
     // Stage F — scatter each live candidate's state into the scalar
     // scratch and run the shared tail (identical code, identical bits).
     for (size_t j = 0; j < k; ++j) {
-        CostResult &o = result(j);
+        CostResult &o = out[j];
         if (s.err[j] != MappingError::Ok) {
             detail::setErrorResult(o, s.err[j]);
             continue;
@@ -287,7 +275,7 @@ soaTile(const EvalPlan &p, const Mapping *batch, const uint32_t *idx,
             s.es.ssp[l] = s.ssp[static_cast<size_t>(l) * k + j];
         for (size_t tl = 0; tl < static_cast<size_t>(T) * L; ++tl)
             s.es.fp[tl] = s.fp[tl * k + j];
-        const Mapping &m = cand(j);
+        const Mapping &m = batch[j];
         for (int l = 0; l < L; ++l) {
             const LevelMapping &lvl = m.level(l);
             s.es.tf_ptr[l] = lvl.temporal.data();
@@ -301,54 +289,24 @@ soaTile(const EvalPlan &p, const Mapping *batch, const uint32_t *idx,
             }
         }
         detail::finishPlanned(p, m, s.es, o);
-        if (rows_slab) {
-            std::copy(s.es.rows.begin(),
-                      s.es.rows.begin() + static_cast<size_t>(L) * T,
-                      rows_slab + j * static_cast<size_t>(L) * T);
-        }
     }
 }
 
-/** Tile driver: run idx[0..k) (or identity when idx is null) through
- *  soaTile in kSoaTile-sized pieces. rows_slab spans all k candidates. */
+/** Run batch[0..k) through soaTile in kSoaTile-sized pieces. */
 void
-soaEvaluate(const EvalPlan &p, const Mapping *batch, const uint32_t *idx,
-            size_t k, CostResult *out, TensorLevelAccess *rows_slab,
-            SoaScratch &s)
+soaEvaluate(const EvalPlan &p, const Mapping *batch, size_t k,
+            CostResult *out, SoaScratch &s)
 {
-    const size_t lt = static_cast<size_t>(p.L) * p.T;
-    for (size_t off = 0; off < k; off += kSoaTile) {
-        const size_t tk = std::min(kSoaTile, k - off);
-        soaTile(p, idx ? batch : batch + off, idx ? idx + off : nullptr,
-                tk, idx ? out : out + off,
-                rows_slab ? rows_slab + off * lt : nullptr, s);
-    }
+    for (size_t off = 0; off < k; off += kSoaTile)
+        soaTile(p, batch + off, std::min(kSoaTile, k - off), out + off, s);
 }
 
-/** Per-thread pipeline scratch (pool workers persist across batches). */
-struct PipelineTls
+/** Per-thread kernel scratch (pool workers persist across batches). */
+SoaScratch &
+soaTls()
 {
-    SoaScratch soa;
-    std::vector<uint32_t> pend;
-    std::vector<TensorLevelAccess> parent_rows;
-    std::vector<TensorLevelAccess> rows_tmp;
-    std::vector<TensorLevelAccess> rows_slab;
-};
-
-PipelineTls &
-pipelineTls()
-{
-    static thread_local PipelineTls tls;
+    static thread_local SoaScratch tls;
     return tls;
-}
-
-size_t
-roundUpPow2(size_t n)
-{
-    size_t p = 1;
-    while (p < n)
-        p <<= 1;
-    return p;
 }
 
 } // namespace
@@ -358,256 +316,45 @@ evaluateBatchSoA(const EvalPlan &plan, std::span<const Mapping> batch,
                  std::span<CostResult> out)
 {
     const size_t n = std::min(batch.size(), out.size());
-    soaEvaluate(plan, batch.data(), nullptr, n, out.data(), nullptr,
-                pipelineTls().soa);
-}
-
-BatchCostEvaluator::BatchCostEvaluator(const Workload &wl,
-                                       const ArchConfig &arch,
-                                       Options opts)
-    : plan_(EvalPlan::build(wl, arch)), opts_(opts)
-{
-    const size_t n = roundUpPow2(std::max<size_t>(opts_.shards, 1));
-    shards_.reserve(n);
-    for (size_t i = 0; i < n; ++i)
-        shards_.push_back(std::make_unique<Shard>());
-}
-
-bool
-BatchCostEvaluator::lookupCost(uint64_t hash, const Mapping &m,
-                               CostResult &out)
-{
-    Shard &sh = shardFor(hash);
-    MutexLock lk(sh.mu);
-    const auto it = sh.map.find(hash);
-    if (it != sh.map.end() && it->second.key == m) {
-        out = it->second.cost;
-        ++sh.hits;
-        return true;
-    }
-    ++sh.misses;
-    return false;
-}
-
-bool
-BatchCostEvaluator::lookupRows(
-    uint64_t hash, const Mapping &m,
-    std::vector<TensorLevelAccess> &rows_out) const
-{
-    const size_t lt = static_cast<size_t>(plan_.L) * plan_.T;
-    const Shard &sh = shardFor(hash);
-    MutexLock lk(sh.mu);
-    const auto it = sh.map.find(hash);
-    if (it == sh.map.end() || !(it->second.key == m) ||
-        it->second.rows.size() != lt) {
-        return false;
-    }
-    rows_out.assign(it->second.rows.begin(), it->second.rows.end());
-    return true;
+    soaEvaluate(plan, batch.data(), n, out.data(), soaTls());
 }
 
 void
-BatchCostEvaluator::insert(uint64_t hash, const Mapping &m,
-                           const CostResult &cost,
-                           std::vector<TensorLevelAccess> &&rows)
-{
-    Shard &sh = shardFor(hash);
-    MutexLock lk(sh.mu);
-    // Duplicates in flight compute identical results; keep the first.
-    // A 64-bit collision keeps the first entry too and the loser just
-    // stays uncached (probes degrade to misses via the key check).
-    sh.map.try_emplace(hash, Entry{m, cost, std::move(rows)});
-}
-
-void
-BatchCostEvaluator::evaluateRange(const Mapping *batch,
-                                  const EvalHint *hints,
-                                  const uint64_t *hashes,
-                                  const uint8_t *done, CostResult *out,
-                                  size_t begin, size_t end)
-{
-    PipelineTls &tls = pipelineTls();
-    const size_t lt = static_cast<size_t>(plan_.L) * plan_.T;
-    const bool store = opts_.use_cache || opts_.use_incremental;
-    const bool keep_rows = opts_.use_incremental;
-
-    tls.pend.clear();
-    for (size_t i = begin; i < end; ++i) {
-        if (done[i])
-            continue;
-        if (keep_rows && hints && hints[i].parent) {
-            const Mapping &parent = *hints[i].parent;
-            if (lookupRows(parent.hash(), parent, tls.parent_rows) &&
-                evaluateIncremental(plan_, batch[i], parent,
-                                    tls.parent_rows.data(), tls.soa.es,
-                                    out[i],
-                                    keep_rows ? &tls.rows_tmp
-                                              : nullptr)) {
-                if (store) {
-                    insert(hashes[i], batch[i], out[i],
-                           out[i].valid
-                               ? std::move(tls.rows_tmp)
-                               : std::vector<TensorLevelAccess>{});
-                    tls.rows_tmp = {};
-                }
-                continue;
-            }
-        }
-        tls.pend.push_back(static_cast<uint32_t>(i));
-    }
-
-    if (!tls.pend.empty()) {
-        TensorLevelAccess *slab = nullptr;
-        if (keep_rows) {
-            tls.rows_slab.assign(tls.pend.size() * lt,
-                                 TensorLevelAccess{});
-            slab = tls.rows_slab.data();
-        }
-        soaEvaluate(plan_, batch, tls.pend.data(), tls.pend.size(), out,
-                    slab, tls.soa);
-        if (store) {
-            for (size_t j = 0; j < tls.pend.size(); ++j) {
-                const size_t i = tls.pend[j];
-                std::vector<TensorLevelAccess> rows;
-                if (keep_rows && out[i].valid) {
-                    rows.assign(slab + j * lt, slab + (j + 1) * lt);
-                }
-                insert(hashes[i], batch[i], out[i], std::move(rows));
-            }
-        }
-    }
-
-    if (post_) {
-        for (size_t i = begin; i < end; ++i)
-            post_(batch[i], out[i]);
-    }
-}
-
-void
-BatchCostEvaluator::evaluateBatch(const Mapping *batch,
-                                  const EvalHint *hints, size_t n,
-                                  CostResult *out)
+BatchCostEvaluator::evaluateBatch(const Mapping *batch, const EvalHint *,
+                                  size_t n, CostResult *out)
 {
     if (n == 0)
         return;
-
-    // Per-batch work buffers; members so steady-state batches allocate
-    // nothing. evaluateBatch itself runs on one caller thread (the
-    // inner chunks write disjoint index ranges, exactly as the former
-    // stack locals were written).
-    hashes_.resize(n);
-    done_.assign(n, 0);
-    std::vector<uint64_t> &hashes = hashes_;
-    std::vector<uint8_t> &done = done_;
-
+    // One contiguous chunk per pool lane; chunks write disjoint ranges.
+    const auto body = [&](size_t begin, size_t end) {
+        soaEvaluate(plan_, batch + begin, end - begin, out + begin,
+                    soaTls());
+        if (post_) {
+            for (size_t i = begin; i < end; ++i)
+                post_(batch[i], out[i]);
+        }
+    };
     ThreadPool &pool = ThreadPool::global();
     const size_t lanes = std::max<size_t>(pool.threads(), 1);
     const size_t chunk = (n + lanes - 1) / lanes;
     const size_t nchunks = (n + chunk - 1) / chunk;
-    const auto forChunks = [&](const std::function<void(size_t, size_t)>
-                                   &body) {
-        if (nchunks > 1) {
-            pool.parallelFor(nchunks, [&](size_t c) {
-                body(c * chunk, std::min(n, (c + 1) * chunk));
-            });
-        } else {
-            body(0, n);
-        }
-    };
-
-    // Phase 1 — hash + store probe. No inserts happen until phase 2,
-    // so probe outcomes (and the hit/miss totals) depend only on the
-    // store state left by prior batches, not on the thread count. With
-    // the store fully disabled, hashes are never consumed — skip them.
-    const bool store = opts_.use_cache || opts_.use_incremental;
-    if (store) {
-        forChunks([&](size_t begin, size_t end) {
-            for (size_t i = begin; i < end; ++i) {
-                hashes[i] = batch[i].hash();
-                if (opts_.use_cache &&
-                    lookupCost(hashes[i], batch[i], out[i])) {
-                    done[i] = 1;
-                }
-            }
+    if (nchunks > 1) {
+        pool.parallelFor(nchunks, [&](size_t c) {
+            body(c * chunk, std::min(n, (c + 1) * chunk));
         });
+    } else {
+        body(0, n);
     }
-
-    // Phase 2 — incremental / SoA evaluation, inserts, post hooks.
-    forChunks([&](size_t begin, size_t end) {
-        evaluateRange(batch, hints, hashes.data(), done.data(), out,
-                      begin, end);
-    });
 }
 
 CostResult
 BatchCostEvaluator::evaluateOne(const Mapping &m)
 {
-    PipelineTls &tls = pipelineTls();
     CostResult res;
-    const uint64_t h = m.hash();
-    if (!opts_.use_cache || !lookupCost(h, m, res)) {
-        const bool keep_rows = opts_.use_incremental;
-        evaluatePlanned(plan_, m, tls.soa.es, res,
-                        keep_rows ? &tls.rows_tmp : nullptr);
-        if (opts_.use_cache || keep_rows) {
-            insert(h, m, res,
-                   keep_rows && res.valid
-                       ? std::move(tls.rows_tmp)
-                       : std::vector<TensorLevelAccess>{});
-            tls.rows_tmp = {};
-        }
-    }
+    evaluatePlanned(plan_, m, soaTls().es, res);
     if (post_)
         post_(m, res);
     return res;
-}
-
-size_t
-BatchCostEvaluator::cacheHits() const
-{
-    size_t n = 0;
-    for (const auto &sh : shards_) {
-        MutexLock lk(sh->mu);
-        n += sh->hits;
-    }
-    return n;
-}
-
-size_t
-BatchCostEvaluator::cacheMisses() const
-{
-    size_t n = 0;
-    for (const auto &sh : shards_) {
-        MutexLock lk(sh->mu);
-        n += sh->misses;
-    }
-    return n;
-}
-
-double
-BatchCostEvaluator::cacheHitRate() const
-{
-    size_t h = 0, m = 0;
-    for (const auto &sh : shards_) {
-        MutexLock lk(sh->mu);
-        h += sh->hits;
-        m += sh->misses;
-    }
-    const size_t total = h + m;
-    return total > 0
-        ? static_cast<double>(h) / static_cast<double>(total)
-        : 0.0;
-}
-
-size_t
-BatchCostEvaluator::storeSize() const
-{
-    size_t n = 0;
-    for (const auto &sh : shards_) {
-        MutexLock lk(sh->mu);
-        n += sh->map.size();
-    }
-    return n;
 }
 
 } // namespace mse

@@ -1,6 +1,6 @@
 /**
  * @file
- * Structure-of-arrays batch evaluation and the pipelined batch evaluator.
+ * Structure-of-arrays batch evaluation and the batch evaluator.
  *
  * evaluateBatchSoA is the vectorizable core: it lays the candidates'
  * tile factors out as contiguous per-(level, dim) arrays so the
@@ -10,42 +10,24 @@
  * finishPlanned tail as the scalar planned path — which is what makes
  * its CostResults bit-identical to CostModel::evaluate by construction.
  *
- * BatchCostEvaluator is the engine-facing pipeline built on top: one
- * EvalPlan per (workload, arch) pair, a sharded memoization store that
- * colocates each mapping's CostResult with its per-(level, tensor)
- * access rows, incremental re-evaluation of GA offspring against their
- * hinted parents, and the SoA kernel for everything left over. It plugs
- * into SearchTracker::evaluateBatch via BatchableEval so mappers need
- * no new wiring beyond the (optional) parent hints.
- *
- * Cache-counter determinism. Within one evaluateBatch call all store
- * probes happen before any insert (the probe and evaluate phases are
- * separated by a ThreadPool barrier), so hit/miss totals depend only on
- * the batch sequence, never on the thread count.
+ * BatchCostEvaluator is the engine-facing evaluator built on top: one
+ * EvalPlan per (workload, arch) pair, the SoA kernel over each batch
+ * and an optional post hook on every result. It plugs into
+ * SearchTracker::evaluateBatch via BatchableEval so mappers need no
+ * new wiring. Nothing is memoized: a planned evaluation costs under a
+ * microsecond, less than hashing and probing a store would.
  */
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
-#include <memory>
 #include <span>
-#include <unordered_map>
-#include <vector>
 
-#include "common/thread_annotations.hpp"
 #include "model/eval_plan.hpp"
 
 namespace mse {
 
-/**
- * Per-candidate evaluation hint a mapper may pass alongside a batch:
- * the already-evaluated parent a GA child was derived from (mutation or
- * crossover). Null parent = no hint. Hints are best-effort — the
- * evaluator falls back to full evaluation whenever the parent's rows
- * are unavailable or the delta cannot provably reproduce them — so a
- * wrong-but-evaluated parent costs performance, never correctness.
- */
+/** Unused; kept only because perfbench/ compiles against it. */
 struct EvalHint
 {
     const Mapping *parent = nullptr;
@@ -61,50 +43,33 @@ void evaluateBatchSoA(const EvalPlan &plan, std::span<const Mapping> batch,
                       std::span<CostResult> out);
 
 /**
- * The batched evaluation pipeline: memoization store -> incremental
- * re-evaluation -> SoA kernel, in that order per candidate. One
- * instance serves one (workload, arch) pair for one run (the store key
- * encodes neither).
+ * The batched evaluator: the SoA kernel, then the post hook, per
+ * candidate. One instance serves one (workload, arch) pair.
  *
  * Thread safety: evaluateBatch fans out over ThreadPool::global()
  * internally and must be called from one thread at a time (the search
- * thread); evaluateOne and the stats accessors are safe concurrently.
+ * thread); evaluateOne is safe concurrently.
  */
 class BatchCostEvaluator
 {
   public:
-    struct Options
-    {
-        /** Serve repeated mappings from the store (counted as hits). */
-        bool use_cache = true;
-
-        /** Re-evaluate hinted offspring incrementally when provable. */
-        bool use_incremental = true;
-
-        /** Lock shards (rounded up to a power of two, min 1). */
-        size_t shards = 16;
-    };
-
     /**
-     * Applied to every result (cache hits included) after the raw cost
-     * is known — objective re-targeting and Pareto capture live here.
-     * May run concurrently from pool workers; synchronize internally.
+     * Applied to every result after the raw cost is known — objective
+     * re-targeting and Pareto capture live here. May run concurrently
+     * from pool workers; synchronize internally.
      */
     using PostHook = std::function<void(const Mapping &, CostResult &)>;
 
-    BatchCostEvaluator(const Workload &wl, const ArchConfig &arch,
-                       Options opts);
     BatchCostEvaluator(const Workload &wl, const ArchConfig &arch)
-        : BatchCostEvaluator(wl, arch, Options{})
+        : plan_(EvalPlan::build(wl, arch))
     {}
 
     void setPostHook(PostHook post) { post_ = std::move(post); }
 
     /**
-     * Evaluate batch[0..n) into out[0..n). hints may be null or point
-     * at n entries parallel to the batch. Results (and the post hook)
-     * are bit-identical at every thread count and with incremental
-     * evaluation on or off.
+     * Evaluate batch[0..n) into out[0..n). Results (and the post hook)
+     * are bit-identical to CostModel::evaluate at every thread count.
+     * hints is ignored; the parameter stays for perfbench/ callers.
      */
     void evaluateBatch(const Mapping *batch, const EvalHint *hints,
                        size_t n, CostResult *out);
@@ -114,81 +79,21 @@ class BatchCostEvaluator
 
     const EvalPlan &plan() const { return plan_; }
 
-    /** Store accounting; zeros when use_cache is off. */
-    size_t cacheHits() const;
-    size_t cacheMisses() const;
-    double cacheHitRate() const;
-
-    /** Distinct mappings memoized. */
-    size_t storeSize() const;
+    /** Always 0; kept only because perfbench/ compiles against them. */
+    size_t cacheHits() const { return 0; }
+    size_t cacheMisses() const { return 0; }
+    size_t storeSize() const { return 0; }
 
   private:
-    /**
-     * One store entry: the canonical mapping (collision guard), its raw
-     * cost, and — for valid mappings under incremental evaluation — the
-     * L*T level-major access rows offspring re-evaluation reuses.
-     */
-    struct Entry
-    {
-        Mapping key;
-        CostResult cost;
-        std::vector<TensorLevelAccess> rows;
-    };
-
-    struct IdentityHash
-    {
-        size_t operator()(uint64_t h) const
-        {
-            return static_cast<size_t>(h);
-        }
-    };
-
-    struct Shard
-    {
-        mutable Mutex mu;
-        std::unordered_map<uint64_t, Entry, IdentityHash> map
-            GUARDED_BY(mu);
-        // Per-shard counters (aggregated by cacheHits()/cacheMisses())
-        // so the hot path never contends on one shared cache line.
-        size_t hits GUARDED_BY(mu) = 0;
-        size_t misses GUARDED_BY(mu) = 0;
-    };
-
-    Shard &
-    shardFor(uint64_t hash) const
-    {
-        // The map buckets by the low bits, so shard by the high ones.
-        return *shards_[(hash >> 48) & (shards_.size() - 1)];
-    }
-
-    bool lookupCost(uint64_t hash, const Mapping &m, CostResult &out);
-    bool lookupRows(uint64_t hash, const Mapping &m,
-                    std::vector<TensorLevelAccess> &rows_out) const;
-    void insert(uint64_t hash, const Mapping &m, const CostResult &cost,
-                std::vector<TensorLevelAccess> &&rows);
-
-    /** Phase-2 worker: evaluate the not-yet-done items of [begin, end). */
-    void evaluateRange(const Mapping *batch, const EvalHint *hints,
-                       const uint64_t *hashes, const uint8_t *done,
-                       CostResult *out, size_t begin, size_t end);
-
     EvalPlan plan_;
-    Options opts_;
     PostHook post_;
-    std::vector<std::unique_ptr<Shard>> shards_;
-
-    // Per-batch work buffers of evaluateBatch (which runs on a single
-    // caller thread at a time); reused so steady-state batches perform
-    // no allocation. Inner chunk workers write disjoint index ranges.
-    std::vector<uint64_t> hashes_;
-    std::vector<uint8_t> done_;
 };
 
 /**
  * EvalFn-compatible callable advertising batch capability. Mappers keep
  * calling a plain EvalFn; SearchTracker::evaluateBatch introspects the
- * std::function target and routes whole batches (plus hints) to the
- * pipeline when the evaluator is one of these.
+ * std::function target and routes whole batches to the evaluator when
+ * it is one of these.
  */
 struct BatchableEval
 {

@@ -10,21 +10,6 @@ namespace mse {
 
 namespace {
 
-/** Index of the innermost relevant iterating loop; -1 if none. */
-int
-innermostRelevant(const LevelMapping &lvl, uint32_t rel)
-{
-    const int D = static_cast<int>(lvl.order.size());
-    for (int j = D - 1; j >= 0; --j) {
-        const int d = lvl.order[j];
-        if (lvl.temporal[d] > 1 &&
-            ((rel >> static_cast<unsigned>(d)) & 1u)) {
-            return j;
-        }
-    }
-    return -1;
-}
-
 /** Restore `out` to a default-constructed CostResult, keeping vector
  *  capacity so recycled results stay allocation-free. */
 void
@@ -403,26 +388,6 @@ foldRows(const EvalPlan &p, EvalScratch &s, CostResult &out)
     out.edp = out.energy_uj * out.latency_cycles;
 }
 
-/**
- * True when the truncated iteration factor *sequences* of a tensor at
- * one level are identical between two mappings — the provable
- * condition for the truncated-iteration product (and hence the
- * tensor's tile counts) to be bit-equal.
- */
-bool
-truncSeqEqual(const LevelMapping &a, const LevelMapping &b, uint32_t rel)
-{
-    const int ia = innermostRelevant(a, rel);
-    const int ib = innermostRelevant(b, rel);
-    if (ia != ib)
-        return false;
-    for (int j = 0; j <= ia; ++j) {
-        if (a.temporal[a.order[j]] != b.temporal[b.order[j]])
-            return false;
-    }
-    return true;
-}
-
 } // namespace
 
 namespace detail {
@@ -580,7 +545,7 @@ EvalPlan::build(const Workload &wl, const ArchConfig &arch)
 
 void
 evaluatePlanned(const EvalPlan &plan, const Mapping &m, EvalScratch &s,
-                CostResult &out, std::vector<TensorLevelAccess> *rows_out)
+                CostResult &out)
 {
     detail::ensureScratch(plan, s);
     const MappingError err = validatePlanned(plan, m, s);
@@ -589,121 +554,6 @@ evaluatePlanned(const EvalPlan &plan, const Mapping &m, EvalScratch &s,
         return;
     }
     detail::finishPlanned(plan, m, s, out);
-    if (rows_out)
-        rows_out->assign(s.rows.begin(),
-                         s.rows.begin() +
-                             static_cast<size_t>(plan.L) * plan.T);
-}
-
-MappingDelta
-diffMappings(const EvalPlan &plan, const Mapping &child,
-             const Mapping &parent)
-{
-    MappingDelta delta;
-    const int L = plan.L, D = plan.D, T = plan.T;
-    if (child.numLevels() != L || parent.numLevels() != L)
-        return delta;
-    for (int l = 0; l < L; ++l) {
-        const LevelMapping &a = child.level(l);
-        const LevelMapping &b = parent.level(l);
-        if (static_cast<int>(a.temporal.size()) != D ||
-            static_cast<int>(a.spatial.size()) != D ||
-            static_cast<int>(a.order.size()) != D ||
-            static_cast<int>(b.temporal.size()) != D ||
-            static_cast<int>(b.spatial.size()) != D ||
-            static_cast<int>(b.order.size()) != D) {
-            return delta;
-        }
-        // Spatial or bypass changes reshape every tensor's traffic —
-        // not worth modeling incrementally.
-        if (a.spatial != b.spatial)
-            return delta;
-        for (int t = 0; t < T; ++t) {
-            if (child.keeps(l, t) != parent.keeps(l, t))
-                return delta;
-        }
-        bool level_changed = (a.order != b.order);
-        for (int d = 0; d < D; ++d) {
-            if (a.temporal[d] != b.temporal[d]) {
-                delta.changed_temporal_dims |=
-                    1u << static_cast<unsigned>(d);
-                level_changed = true;
-            }
-        }
-        if (level_changed)
-            delta.changed_levels |= 1u << static_cast<unsigned>(l);
-    }
-    delta.comparable = true;
-    return delta;
-}
-
-bool
-evaluateIncremental(const EvalPlan &plan, const Mapping &child,
-                    const Mapping &parent,
-                    const TensorLevelAccess *parent_rows, EvalScratch &s,
-                    CostResult &out,
-                    std::vector<TensorLevelAccess> *rows_out)
-{
-    const int L = plan.L, T = plan.T;
-    if (T > 32)
-        return false; // `affected` below is a 32-bit tensor mask
-    const MappingDelta delta = diffMappings(plan, child, parent);
-    if (!delta.comparable)
-        return false;
-
-    // A tensor's rows are reusable iff (a) no changed temporal dim is
-    // relevant to it — its footprints and relevant-spatial products
-    // are untouched — and (b) the truncated factor sequence is
-    // unchanged at every touched level, so its tile counts are the
-    // same product of the same doubles. Spatial factors and bypass
-    // masks are unchanged whenever the delta is comparable.
-    bool any_reusable = false;
-    uint32_t affected = 0; // bit t = tensor t must be recomputed
-    for (int t = 0; t < T; ++t) {
-        bool reuse =
-            (delta.changed_temporal_dims & plan.relevance[t]) == 0;
-        for (int l = 0; reuse && l < L; ++l) {
-            if ((delta.changed_levels >> static_cast<unsigned>(l)) & 1u) {
-                reuse = truncSeqEqual(child.level(l), parent.level(l),
-                                      plan.relevance[t]);
-            }
-        }
-        if (reuse)
-            any_reusable = true;
-        else
-            affected |= 1u << static_cast<unsigned>(t);
-    }
-    if (!any_reusable)
-        return false; // nothing to save; run the full path instead
-
-    // Validation runs in full either way: the child may independently
-    // break a factor product or a capacity bound, and the scratch it
-    // fills (cum/ssp/footprints) feeds the recomputed tensors.
-    detail::ensureScratch(plan, s);
-    const MappingError err = validatePlanned(plan, child, s);
-    if (err != MappingError::Ok) {
-        detail::setErrorResult(out, err);
-        return true;
-    }
-    resetResult(out);
-    computeLevelCaches(plan, s);
-    computeTensorCaches(plan, s);
-    s.rows.assign(static_cast<size_t>(L) * T, TensorLevelAccess{});
-    for (int t = 0; t < T; ++t) {
-        if ((affected >> static_cast<unsigned>(t)) & 1u) {
-            computeTensorRows(plan, s, t);
-        } else {
-            for (int l = 0; l < L; ++l) {
-                s.rows[static_cast<size_t>(l) * T + t] =
-                    parent_rows[static_cast<size_t>(l) * T + t];
-            }
-        }
-    }
-    foldRows(plan, s, out);
-    if (rows_out)
-        rows_out->assign(s.rows.begin(),
-                         s.rows.begin() + static_cast<size_t>(L) * T);
-    return true;
 }
 
 } // namespace mse

@@ -10,24 +10,13 @@
  * batch evaluator, so a planned evaluation touches only flat
  * preallocated arrays (EvalScratch) and the Mapping under test.
  *
- * Bit-identity contract. evaluatePlanned and evaluateIncremental mirror
- * the floating-point operation order of validateMapping →
- * computeAccessCounts → CostModel::fold exactly; their CostResults are
- * bit-identical to CostModel::evaluate for every mapping, valid or not
- * (asserted field-by-field at %.17g by tests/test_eval_plan.cpp and
- * pinned by the golden-trace fixture). Anything that would reorder a
- * floating-point reduction belongs in a new model version, not here.
- *
- * Incremental re-evaluation. GA offspring differ from a parent in a
- * handful of factor slots or one loop order. evaluateIncremental diffs
- * child against parent, keeps the parent's per-(level, tensor) access
- * rows for tensors whose traffic provably cannot have changed — no
- * changed dimension is relevant to the tensor AND the truncated
- * iteration factor sequence is unchanged at every touched level — and
- * recomputes only the affected tensors before re-folding. Whenever the
- * delta cannot *prove* bit-equal reuse (shape, spatial, or bypass
- * changes; ambiguous truncation points) it reports failure and the
- * caller falls back to full evaluation.
+ * Bit-identity contract. evaluatePlanned mirrors the floating-point
+ * operation order of validateMapping → computeAccessCounts →
+ * CostModel::fold exactly; its CostResults are bit-identical to
+ * CostModel::evaluate for every mapping, valid or not (asserted
+ * field-by-field at %.17g by tests/test_eval_plan.cpp and pinned by the
+ * golden-trace fixture). Anything that would reorder a floating-point
+ * reduction belongs in a new model version, not here.
  */
 #pragma once
 
@@ -154,53 +143,12 @@ struct EvalScratch
 /**
  * Full planned evaluation of one mapping; bit-identical to
  * CostModel::evaluate. `out` is overwritten in place (vector capacity
- * is reused, so a recycled CostResult costs no allocation). When
- * rows_out is non-null and the mapping is valid, the per-(level,
- * tensor) access rows are copied there (size L*T, level-major) — the
- * payload incremental re-evaluation keys on.
+ * is reused, so a recycled CostResult costs no allocation). For a valid
+ * mapping the per-(level, tensor) access rows are left in s.rows
+ * (level-major, L*T).
  */
 void evaluatePlanned(const EvalPlan &plan, const Mapping &m, EvalScratch &s,
-                     CostResult &out,
-                     std::vector<TensorLevelAccess> *rows_out = nullptr);
-
-/**
- * How a GA child differs from its parent, as far as the evaluator
- * cares. Produced by diffMappings; consumed by evaluateIncremental.
- */
-struct MappingDelta
-{
-    /**
-     * True when the two mappings have identical shape, spatial factors,
-     * and bypass directives — the preconditions for reusing any
-     * per-tensor row at all.
-     */
-    bool comparable = false;
-
-    /** Dims whose temporal factors differ at any level (bitmask). */
-    uint32_t changed_temporal_dims = 0;
-
-    /** Levels whose temporal factors or loop order differ (bitmask). */
-    uint32_t changed_levels = 0;
-};
-
-/** Structural diff of child vs. parent under plan's shape. */
-MappingDelta diffMappings(const EvalPlan &plan, const Mapping &child,
-                          const Mapping &parent);
-
-/**
- * Incremental re-evaluation of `child` against an already-evaluated
- * valid `parent` whose access rows (L*T, level-major, as produced via
- * evaluatePlanned's rows_out) are supplied. Returns true when the
- * incremental path handled the child — `out` (and rows_out) then hold
- * results bit-identical to evaluatePlanned. Returns false when the
- * delta cannot provably reproduce the full evaluation (the caller must
- * fall back to evaluatePlanned; out is untouched).
- */
-bool evaluateIncremental(const EvalPlan &plan, const Mapping &child,
-                         const Mapping &parent,
-                         const TensorLevelAccess *parent_rows,
-                         EvalScratch &s, CostResult &out,
-                         std::vector<TensorLevelAccess> *rows_out = nullptr);
+                     CostResult &out);
 
 namespace detail {
 

@@ -328,8 +328,6 @@ MseService::runSearch(const SearchRequest &req,
             }
         }
     }
-    r.eval_cache_hits = outcome.eval_cache_hits;
-    r.eval_cache_misses = outcome.eval_cache_misses;
     r.cancelled = cancel->cancelled();
     r.timed_out = !r.cancelled && nowSeconds() >= deadline_abs;
 
@@ -394,8 +392,6 @@ MseService::runSearch(const SearchRequest &req,
     sample.timed_out = r.timed_out;
     sample.cancelled = r.cancelled;
     sample.samples = r.samples;
-    sample.eval_cache_hits = r.eval_cache_hits;
-    sample.eval_cache_misses = r.eval_cache_misses;
     metrics_.onSearchDone(sample);
     if (!r.ok)
         metrics_.onError(r.error_code.c_str());

@@ -34,7 +34,7 @@
  *    written back, so the store monotonically accumulates the best
  *    known mapping per key across runs and clients.
  *  - *metrics*: every request updates the shared ServiceMetrics
- *    (queue depth, latency percentiles, store hit split, eval-cache
+ *    (queue depth, latency percentiles, store hit split, search
  *    totals), served by statsJson() and dumped on shutdown.
  *
  * Determinism: a request with an explicit seed produces bit-identical
@@ -166,6 +166,7 @@ struct SearchReply
      *  score; cold, same as samples_to_converge. The warm-start win
      *  (paper Sec. 5.1) shows up as this collapsing on warm hits. */
     size_t samples_to_incumbent = 0;
+    /** Always 0; kept only because perfbench/ compiles against them. */
     size_t eval_cache_hits = 0;
     size_t eval_cache_misses = 0;
 

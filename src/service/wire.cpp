@@ -343,6 +343,7 @@ searchReplyJson(const SearchReply &r)
         j["served_by"] = r.served_by;
     if (!r.store_key.empty())
         j["store_key"] = r.store_key;
+    // Always 0/0; kept only because perfbench/ reads the block.
     JsonValue &cache = j["eval_cache"];
     cache["hits"] = static_cast<uint64_t>(r.eval_cache_hits);
     cache["misses"] = static_cast<uint64_t>(r.eval_cache_misses);

@@ -38,7 +38,7 @@
  *    "samples_to_converge":N,"store":"cold"|"near"|"exact",
  *    "warm_distance":...,"store_improved":bool,"timed_out":bool,
  *    "cancelled":bool,"wall_ms":...,
- *    "eval_cache":{"hits":N,"misses":N}}
+ *    "eval_cache":{"hits":0,"misses":0}}
  *
  * Failure (parse errors, rejections, search failures alike):
  *

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/thread_pool.hpp"
 #include "core/mse_engine.hpp"
 #include "mappers/gamma.hpp"
 #include "model/cost_model.hpp"
@@ -203,32 +204,38 @@ TEST_P(CostPropertyP, CanonicallyEquivalentMappingsEvaluateIdentically)
     }
 }
 
-TEST_P(CostPropertyP, CachedAndUncachedSearchesShareTheIncumbent)
+TEST_P(CostPropertyP, EngineAndScalarOracleShareTheIncumbent)
 {
-    // The memoizing cache must be invisible to the search: same seed,
-    // cache on vs. off, identical incumbent and per-sample trace.
-    MseOptions on, off;
-    on.budget.max_samples = off.budget.max_samples = 300;
-    on.use_eval_cache = true;
-    off.use_eval_cache = false;
-
-    MseEngine engine_on(combo_.arch), engine_off(combo_.arch);
-    GammaMapper gamma_on, gamma_off;
-    Rng rng_on(800 + GetParam()), rng_off(800 + GetParam());
-    const MseOutcome a =
-        engine_on.optimize(combo_.wl, gamma_on, on, rng_on);
-    const MseOutcome b =
-        engine_off.optimize(combo_.wl, gamma_off, off, rng_off);
-
-    EXPECT_EQ(a.search.best_cost.edp, b.search.best_cost.edp)
-        << combo_.name;
-    EXPECT_TRUE(a.search.best_mapping == b.search.best_mapping)
-        << combo_.name;
-    EXPECT_EQ(a.search.log.best_edp_per_sample,
-              b.search.log.best_edp_per_sample)
-        << combo_.name;
-    EXPECT_GT(a.eval_cache_hits + a.eval_cache_misses, 0u);
-    EXPECT_EQ(b.eval_cache_hits + b.eval_cache_misses, 0u);
+    // The engine's planned batch path must be invisible to the search:
+    // same seed, engine vs. a scalar CostModel::evaluate oracle at 1
+    // and 4 pool lanes, identical incumbent and per-sample trace.
+    MseOptions opts;
+    opts.budget.max_samples = 300;
+    const auto search = [&](bool oracle, unsigned threads) {
+        ThreadPool::setGlobalThreads(threads);
+        MseEngine engine(combo_.arch);
+        GammaMapper gamma;
+        Rng rng(800 + GetParam());
+        if (!oracle)
+            return engine.optimize(combo_.wl, gamma, opts, rng);
+        const EvalFn eval = [&](const Mapping &m) {
+            return CostModel::evaluate(combo_.wl, combo_.arch, m);
+        };
+        return engine.optimizeWithEvaluator(
+            MapSpace(combo_.wl, combo_.arch), eval, gamma, opts, rng);
+    };
+    const MseOutcome b = search(true, 1);
+    for (const unsigned threads : {1u, 4u}) {
+        const MseOutcome a = search(false, threads);
+        EXPECT_EQ(a.search.best_cost.edp, b.search.best_cost.edp)
+            << combo_.name << " threads=" << threads;
+        EXPECT_TRUE(a.search.best_mapping == b.search.best_mapping)
+            << combo_.name << " threads=" << threads;
+        EXPECT_EQ(a.search.log.best_edp_per_sample,
+                  b.search.log.best_edp_per_sample)
+            << combo_.name << " threads=" << threads;
+    }
+    ThreadPool::setGlobalThreads(0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Combos, CostPropertyP,

@@ -14,6 +14,7 @@
 #include "mappers/local_search.hpp"
 #include "mappers/random_pruned.hpp"
 #include "model/analysis.hpp"
+#include "service/mapping_store.hpp"
 #include "workload/model_zoo.hpp"
 
 namespace mse {
@@ -21,34 +22,48 @@ namespace {
 
 TEST(Integration, CompileSessionWithPersistedCacheWarmStarts)
 {
-    // Session 1: optimize two ResNet layers, persist the replay buffer.
+    // Session 1: optimize two ResNet layers, persist the winners to a
+    // MappingStore file.
     const std::string cache =
-        ::testing::TempDir() + "/mse_integration_cache.txt";
+        ::testing::TempDir() + "/mse_integration_store.jsonl";
+    std::remove(cache.c_str());
     const ArchConfig arch = accelB();
     {
+        MappingStore store(cache);
         MseEngine engine(arch);
         GammaMapper gamma;
         MseOptions opts;
         opts.budget.max_samples = 1200;
         Rng rng(1);
-        engine.optimize(resnetConv3(), gamma, opts, rng);
-        engine.optimize(resnetConv4(), gamma, opts, rng);
-        ASSERT_TRUE(engine.replay().save(cache));
+        for (const Workload &wl : {resnetConv3(), resnetConv4()}) {
+            const MseOutcome o = engine.optimize(wl, gamma, opts, rng);
+            ASSERT_TRUE(o.search.found());
+            const CostResult &c = o.search.best_cost;
+            ASSERT_TRUE(store.recordIfBetter(
+                wl, arch, Objective::Edp, false, o.search.best_mapping,
+                c.edp, c.energy_uj, c.latency_cycles,
+                o.search.log.samples));
+        }
     }
 
-    // Session 2: fresh engine, load the cache, map a similar layer with
-    // warm-start; the initial generation must already be far below a
-    // cold random population's.
+    // Session 2: fresh engine, load the store, seed the replay buffer
+    // from its lookup and map a similar layer with warm-start; the
+    // initial generation must already be far below a cold random
+    // population's.
     {
-        MseEngine engine(arch);
-        const size_t loaded = engine.replay().load(
-            cache, [&](const Workload &wl, const Mapping &m) {
-                return CostModel::evaluate(wl, arch, m);
-            });
-        ASSERT_EQ(loaded, 2u);
+        MappingStore store(cache);
+        ASSERT_EQ(store.load(), 2u);
 
         const Workload target =
             makeConv2d("conv4_wide", 16, 256, 512, 14, 14, 3, 3);
+        const MappingStore::Lookup lk = store.lookup(
+            target, arch, Objective::Edp, false, /*max_distance=*/8.0);
+        ASSERT_NE(lk.hit, StoreHit::Miss);
+
+        MseEngine engine(arch);
+        engine.replay().push(lk.entry.workload, lk.entry.mapping,
+                             CostModel::evaluate(lk.entry.workload, arch,
+                                                 lk.entry.mapping));
         GammaMapper gamma;
         MseOptions warm_opts;
         warm_opts.budget.max_samples = 600;

@@ -196,5 +196,82 @@ TEST(MappingErrorName, AllNamed)
                  "CapacityExceeded");
 }
 
+/** 2-level, 4-dim mapping with two adjacent unit loops at level 0. */
+Mapping
+baseMapping()
+{
+    Mapping m(2, 4);
+    // Dims 0 and 1 are unit at level 0; dims 2 and 3 carry factor 2.
+    m.level(0).temporal = {1, 1, 2, 2};
+    m.level(1).temporal = {1, 2, 1, 1};
+    m.level(0).order = {0, 1, 2, 3};
+    m.level(1).order = {3, 2, 1, 0};
+    return m;
+}
+
+TEST(MappingHash, EqualCanonicalMappingsCollide)
+{
+    const Mapping a = baseMapping();
+    Mapping b = baseMapping();
+    // Dims 0 and 1 are an adjacent run of unit loops at level 0:
+    // permuting them does not change the canonical mapping.
+    b.level(0).order = {1, 0, 2, 3};
+    EXPECT_EQ(a.hash(), b.hash());
+    EXPECT_TRUE(a == b);
+    EXPECT_EQ(a.canonicalKey(), b.canonicalKey());
+}
+
+TEST(MappingHash, PerturbedFactorsDoNotCollide)
+{
+    const Mapping a = baseMapping();
+    Mapping b = baseMapping();
+    // Migrate dim 2's tile factor outward: same total factor product,
+    // different mapping.
+    b.level(0).temporal[2] = 1;
+    b.level(1).temporal[2] = 2;
+    EXPECT_NE(a.hash(), b.hash());
+    EXPECT_FALSE(a == b);
+    EXPECT_TRUE(a != b);
+}
+
+TEST(MappingHash, NonUnitOrderSwapDoesNotCollide)
+{
+    const Mapping a = baseMapping();
+    Mapping b = baseMapping();
+    // Swapping the two non-unit loops at level 0 reorders real loops:
+    // canonically distinct.
+    b.level(0).order = {0, 1, 3, 2};
+    EXPECT_NE(a.hash(), b.hash());
+    EXPECT_FALSE(a == b);
+}
+
+TEST(MappingHash, UnitSwapAcrossNonUnitLoopDoesNotCollide)
+{
+    Mapping a = baseMapping();
+    a.level(0).order = {0, 2, 1, 3}; // unit loops 0 and 1 split by 2
+    Mapping b = a;
+    b.level(0).order = {1, 2, 0, 3};
+    EXPECT_NE(a.hash(), b.hash());
+    EXPECT_FALSE(a == b);
+}
+
+TEST(MappingHash, ExplicitKeepAllMatchesEmptyMask)
+{
+    const Mapping a = baseMapping();
+    Mapping b = baseMapping();
+    // setKeep materializes an all-ones mask; flipping the bit back
+    // leaves an explicit keep-everything mask, semantically identical
+    // to the default empty one.
+    b.setKeep(0, 1, false, 3);
+    b.setKeep(0, 1, true, 3);
+    EXPECT_EQ(a.hash(), b.hash());
+    EXPECT_TRUE(a == b);
+
+    Mapping c = baseMapping();
+    c.setKeep(0, 1, false, 3); // a real bypass must not collide
+    EXPECT_NE(a.hash(), c.hash());
+    EXPECT_FALSE(a == c);
+}
+
 } // namespace
 } // namespace mse

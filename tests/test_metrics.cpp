@@ -138,7 +138,7 @@ TEST(ServiceMetrics, FreshRegistrySnapshotsZeroes)
     EXPECT_EQ(lat->getInt("count", -1), 0);
     const JsonValue *search = j.find("search");
     ASSERT_NE(search, nullptr);
-    EXPECT_EQ(search->getDouble("eval_cache_hit_rate", -1.0), 0.0);
+    EXPECT_EQ(search->getInt("samples_total", -1), 0);
 }
 
 TEST(ServiceMetrics, QueueDepthNeverUnderflows)
@@ -191,8 +191,6 @@ TEST(ServiceMetrics, ConcurrentIncrementsNeverDropUpdates)
                 ServiceMetrics::SearchSample s;
                 s.latency_seconds = 0.001 * (t + 1);
                 s.samples = 10;
-                s.eval_cache_hits = 3;
-                s.eval_cache_misses = 7;
                 s.store_kind = t % 3;
                 m.onSearchDone(s);
                 m.onDequeue();
@@ -214,14 +212,6 @@ TEST(ServiceMetrics, ConcurrentIncrementsNeverDropUpdates)
     EXPECT_EQ(static_cast<uint64_t>(
                   search->getInt("samples_total", -1)),
               kTotal * 10);
-    EXPECT_EQ(static_cast<uint64_t>(
-                  search->getInt("eval_cache_hits", -1)),
-              kTotal * 3);
-    EXPECT_EQ(static_cast<uint64_t>(
-                  search->getInt("eval_cache_misses", -1)),
-              kTotal * 7);
-    EXPECT_NEAR(search->getDouble("eval_cache_hit_rate", -1.0), 0.3,
-                1e-12);
     const JsonValue *lat = j.find("latency");
     ASSERT_NE(lat, nullptr);
     EXPECT_EQ(static_cast<uint64_t>(lat->getInt("count", -1)), kTotal);

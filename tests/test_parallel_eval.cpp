@@ -3,7 +3,7 @@
  * Determinism tests for the parallel batch-evaluation layer: for a
  * fixed RNG seed, a fully serial run (pool size 1) and a multi-threaded
  * run must produce bit-identical search results and convergence logs,
- * and the eval cache must be transparent to the search trajectory.
+ * and the engine's batch path must match a scalar-oracle search.
  */
 #include <gtest/gtest.h>
 
@@ -160,34 +160,34 @@ TEST_F(ParallelEval, EvaluateBatchEdgeShapes)
     EXPECT_EQ(tracker.samples(), 4u);
 }
 
-TEST_F(ParallelEval, EvalCacheIsTransparentToSearchTrajectory)
+TEST_F(ParallelEval, EnginePathMatchesScalarOracleTrajectory)
 {
     const Workload wl = resnetConv4();
+    const ArchConfig arch = accelB();
 
-    auto run = [&](bool use_cache, unsigned threads) {
+    auto run = [&](bool oracle, unsigned threads) {
         ThreadPool::setGlobalThreads(threads);
-        MseEngine engine(accelB());
+        MseEngine engine(arch);
         GammaMapper mapper;
         MseOptions opts;
         opts.budget.max_samples = 600;
-        opts.use_eval_cache = use_cache;
         Rng rng(42);
-        return engine.optimize(wl, mapper, opts, rng);
+        if (!oracle)
+            return engine.optimize(wl, mapper, opts, rng);
+        const EvalFn eval = [&](const Mapping &m) {
+            return CostModel::evaluate(wl, arch, m);
+        };
+        return engine.optimizeWithEvaluator(MapSpace(wl, arch), eval,
+                                            mapper, opts, rng);
     };
 
-    const MseOutcome uncached = run(false, 1);
-    const MseOutcome cached = run(true, 1);
-    const MseOutcome cached_parallel = run(true, 4);
+    const MseOutcome oracle = run(true, 1);
+    const MseOutcome engine = run(false, 1);
+    const MseOutcome engine_parallel = run(false, 4);
 
-    EXPECT_EQ(uncached.eval_cache_hits + uncached.eval_cache_misses, 0u);
-    // GA populations duplicate genomes, so a real search must hit.
-    EXPECT_GT(cached.eval_cache_hits, 0u);
-    EXPECT_EQ(cached.eval_cache_hits + cached.eval_cache_misses,
-              cached.search.log.samples);
-
-    expectIdenticalRuns(uncached.search, cached.search);
-    expectIdenticalRuns(uncached.search, cached_parallel.search);
-    EXPECT_EQ(cached.eval_cache_hits, cached_parallel.eval_cache_hits);
+    EXPECT_EQ(engine.search.log.samples, 600u);
+    expectIdenticalRuns(oracle.search, engine.search);
+    expectIdenticalRuns(oracle.search, engine_parallel.search);
 }
 
 TEST_F(ParallelEval, ParetoFrontierContentIsThreadCountInvariant)

@@ -7,8 +7,7 @@ Usage:
 
 Prints, per (model, arch) sweep: the dedup savings (unique search jobs
 vs. total layers and the cost-model samples that saved), the warm/cold
-split of the unique jobs, the eval-cache hit rate, and the warm-start
-sample speedup against the cold-start reference run. Exits non-zero if
+split of the unique jobs, and the warm-start sample speedup against the cold-start reference run. Exits non-zero if
 any sweep was non-deterministic across thread counts — the same check
 the bench itself enforces, usable on an archived JSON.
 
@@ -34,7 +33,7 @@ def main():
           f"seed: {doc.get('seed', '?')}")
 
     header = (f"{'model':<12} {'arch':<8} {'layers':>6} {'jobs':>5} "
-              f"{'dedup':>6} {'samples saved':>14} {'cache hit':>9} "
+              f"{'dedup':>6} {'samples saved':>14} "
               f"{'warm speedup':>12} {'determ.':>8}")
     print()
     print(header)
@@ -43,14 +42,12 @@ def main():
     ok = True
     for s in doc.get("sweeps", []):
         saved = s["samples_without_dedup"] - s["samples_spent"]
-        cache_total = s["eval_cache_hits"] + s["eval_cache_misses"]
         wvc = s.get("warm_vs_cold", {})
         det = s.get("deterministic_threads_1_vs_4", False)
         ok = ok and det
         print(f"{s['model']:<12} {s['arch']:<8} {s['total_layers']:>6} "
               f"{s['unique_jobs']:>5} {s['dedup_hits']:>6} "
               f"{saved:>7} ({pct(saved, s['samples_without_dedup']):.0f}%) "
-              f"{pct(s['eval_cache_hits'], cache_total):>8.1f}% "
               f"{wvc.get('sample_speedup', 1.0):>11.2f}x "
               f"{'yes' if det else 'NO':>8}")
 
