@@ -115,20 +115,6 @@ BM_GammaCrossoverMutateRepair(benchmark::State &state)
 BENCHMARK(BM_GammaCrossoverMutateRepair);
 
 void
-BM_MappingCanonicalHash(benchmark::State &state)
-{
-    MapSpace space(resnetConv4(), accelB());
-    Rng rng(7);
-    std::vector<Mapping> pool;
-    for (int i = 0; i < 64; ++i)
-        pool.push_back(space.randomMapping(rng));
-    size_t i = 0;
-    for (auto _ : state)
-        benchmark::DoNotOptimize(pool[i++ % pool.size()].hash());
-}
-BENCHMARK(BM_MappingCanonicalHash);
-
-void
 BM_PlannedEvalConv(benchmark::State &state)
 {
     // The scalar planned path: same analytical model as

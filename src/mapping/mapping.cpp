@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "common/math_util.hpp"
 #include "common/permutation.hpp"
 
 namespace mse {
@@ -107,9 +106,8 @@ namespace {
 
 /**
  * Order with runs of unit-temporal loops sorted (see canonicalKey).
- * Writes into a caller-provided buffer to keep the hot hash/equality
- * path allocation-free (the buffers below are thread_local because
- * hashing runs on eval-pool workers).
+ * Writes into a caller-provided buffer to keep operator== allocation-free
+ * (its buffers are thread_local because it runs on eval-pool workers).
  */
 void
 canonicalOrderInto(const LevelMapping &lvl, std::vector<int> &canon)
@@ -137,41 +135,7 @@ maskBypasses(const std::vector<uint8_t> &mask)
     return false;
 }
 
-/**
- * FNV-1a step: cheap per-element combine. Collisions are safe (callers
- * verify keys with operator==), so a fast sequential hash beats a
- * cryptographic-strength one here.
- */
-uint64_t
-hashCombine(uint64_t h, uint64_t v)
-{
-    return (h ^ v) * 0x100000001b3ULL;
-}
-
 } // namespace
-
-uint64_t
-Mapping::hash() const
-{
-    static thread_local std::vector<int> canon;
-    uint64_t h = 0x6d61707370616365ULL; // "mapspace"
-    for (const auto &lvl : levels_) {
-        for (size_t d = 0; d < lvl.temporal.size(); ++d) {
-            h = hashCombine(h, static_cast<uint64_t>(lvl.temporal[d]));
-            h = hashCombine(h, static_cast<uint64_t>(lvl.spatial[d]));
-        }
-        canonicalOrderInto(lvl, canon);
-        for (int o : canon)
-            h = hashCombine(h, static_cast<uint64_t>(o) + 0x100);
-        // An all-keep mask is canonically identical to an empty one.
-        if (maskBypasses(lvl.keep)) {
-            for (uint8_t k : lvl.keep)
-                h = hashCombine(h, k ? 0x2ULL : 0x3ULL);
-        }
-        h = hashCombine(h, 0xabULL); // level separator
-    }
-    return mix64(h);
-}
 
 bool
 Mapping::operator==(const Mapping &other) const

@@ -103,16 +103,10 @@ class Mapping
     std::string canonicalKey() const;
 
     /**
-     * Canonical 64-bit hash, consistent with operator==: two mappings
-     * that are equal up to (a) permutations within runs of unit-factor
-     * loops and (b) an explicit keep-everything mask vs. an empty one
-     * hash identically. Canonical equivalence implies identical cost.
-     */
-    uint64_t hash() const;
-
-    /**
-     * Canonical equality (same equivalence classes as hash()); equal
-     * mappings have equal cost.
+     * Canonical equality: two mappings that are equal up to (a)
+     * permutations within runs of unit-factor loops and (b) an explicit
+     * keep-everything mask vs. an empty one compare equal. Equal mappings
+     * have equal cost.
      */
     bool operator==(const Mapping &other) const;
     bool operator!=(const Mapping &other) const
@@ -125,15 +119,6 @@ class Mapping
 
   private:
     std::vector<LevelMapping> levels_;
-};
-
-/** Hasher for unordered containers keyed by canonical Mapping. */
-struct MappingHash
-{
-    size_t operator()(const Mapping &m) const
-    {
-        return static_cast<size_t>(m.hash());
-    }
 };
 
 /** Why a mapping failed validation. */

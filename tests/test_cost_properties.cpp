@@ -191,7 +191,6 @@ TEST_P(CostPropertyP, CanonicallyEquivalentMappingsEvaluateIdentically)
                 lvl.keep.assign(static_cast<size_t>(tensors), 1);
         }
         ASSERT_TRUE(variant == m) << combo_.name;
-        ASSERT_EQ(variant.hash(), m.hash()) << combo_.name;
 
         const CostResult ra =
             CostModel::evaluate(combo_.wl, combo_.arch, m);

@@ -187,7 +187,7 @@ TEST(EvalPlanDifferential, RowsMatchComputeAccessCounts)
         ++checked;
         const std::vector<TensorLevelAccess> &rows = scratch.rows;
         const AccessCounts counts = computeAccessCounts(wl, arch, m);
-        ASSERT_GE(rows.size(), static_cast<size_t>(L) * T);
+        ASSERT_EQ(rows.size(), static_cast<size_t>(L) * T);
         for (int l = 0; l < L; ++l) {
             for (int t = 0; t < T; ++t) {
                 const TensorLevelAccess &got =

@@ -7,9 +7,10 @@ Usage:
 
 Prints, per (model, arch) sweep: the dedup savings (unique search jobs
 vs. total layers and the cost-model samples that saved), the warm/cold
-split of the unique jobs, and the warm-start sample speedup against the cold-start reference run. Exits non-zero if
-any sweep was non-deterministic across thread counts — the same check
-the bench itself enforces, usable on an archived JSON.
+split of the unique jobs, and the warm-start sample speedup against the
+cold-start reference run. Exits non-zero if any sweep was
+non-deterministic across thread counts — the same check the bench
+itself enforces, usable on an archived JSON.
 
 Stdlib only; no third-party dependencies.
 """
