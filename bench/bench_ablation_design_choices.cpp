@@ -130,8 +130,10 @@ ablationWarmStartScaling(size_t samples)
         dst_space.scaleFrom(opt.best_mapping, src, rng);
     // Order-only variant: inherit orders but rebuild tiles trivially.
     Mapping naive(arch.numLevels(), dst.numDims());
-    for (int l = 0; l < naive.numLevels(); ++l)
-        naive.level(l) = opt.best_mapping.level(l);
+    for (int l = 0; l < naive.numLevels(); ++l) {
+        naive.level(l).order = opt.best_mapping.level(l).order;
+        naive.level(l).keep = opt.best_mapping.level(l).keep;
+    }
     for (int d = 0; d < dst.numDims(); ++d) {
         // Blow away the factor column and put everything at DRAM while
         // keeping orders: "inherit order only".

@@ -20,6 +20,7 @@
 
 #include "bench_util.hpp"
 #include "common/thread_pool.hpp"
+#include "core/mse_engine.hpp"
 #include "mappers/gamma.hpp"
 #include "mappers/random_pruned.hpp"
 #include "model/batch_eval.hpp"
@@ -177,21 +178,19 @@ BENCHMARK(BM_MappingValidation);
 void
 BM_EndToEndGammaSearch(benchmark::State &state)
 {
-    // Whole-search throughput: samples/second at a 500-sample budget.
+    // Whole-search throughput (samples/second at a 500-sample budget)
+    // on the path the daemon serves: MseEngine::optimize, i.e. Gamma's
+    // generation loop over the planned SoA batch evaluator.
     const Workload wl = resnetConv4();
-    const ArchConfig arch = accelB();
-    MapSpace space(wl, arch);
-    EvalFn eval = [&](const Mapping &m) {
-        return CostModel::evaluate(wl, arch, m);
-    };
+    MseEngine engine(accelB());
+    MseOptions opts;
+    opts.budget.max_samples = 500;
+    opts.update_replay = false;
     uint64_t seed = 0;
     for (auto _ : state) {
         GammaMapper gamma;
-        SearchBudget budget;
-        budget.max_samples = 500;
         Rng rng(seed++);
-        benchmark::DoNotOptimize(
-            gamma.search(space, eval, budget, rng));
+        benchmark::DoNotOptimize(engine.optimize(wl, gamma, opts, rng));
     }
     state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                             500);

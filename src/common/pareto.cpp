@@ -1,51 +1,47 @@
 #include "common/pareto.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 namespace mse {
 
 bool
 dominates(const ObjectivePoint &a, const ObjectivePoint &b)
 {
-    bool strictly = false;
-    for (size_t i = 0; i < a.size(); ++i) {
-        if (a[i] > b[i])
-            return false;
-        if (a[i] < b[i])
-            strictly = true;
-    }
-    return strictly;
+    return !(a[0] > b[0]) && !(a[1] > b[1]) && (a[0] < b[0] || a[1] < b[1]);
 }
 
 std::vector<int>
 paretoRanks(const std::vector<ObjectivePoint> &points)
 {
     const size_t n = points.size();
-    std::vector<int> rank(n, -1);
-    std::vector<char> assigned(n, 0);
-    size_t remaining = n;
-    int current = 0;
-    while (remaining > 0) {
-        std::vector<size_t> front;
-        for (size_t i = 0; i < n; ++i) {
-            if (assigned[i])
-                continue;
-            bool dominated = false;
-            for (size_t j = 0; j < n && !dominated; ++j) {
-                if (j != i && !assigned[j] &&
-                    dominates(points[j], points[i])) {
-                    dominated = true;
-                }
-            }
-            if (!dominated)
-                front.push_back(i);
+    // Visit points in lexicographic (energy, latency) order: a point
+    // that dominates another is lexicographically smaller, so every
+    // point's dominators are ranked before it. Costs are never NaN;
+    // points with a NaN coordinate still sort (last, as one tie class)
+    // so the comparator stays a strict weak order.
+    std::vector<size_t> order(n);
+    for (size_t i = 0; i < n; ++i)
+        order[i] = i;
+    const auto hasNan = [&](size_t i) {
+        return std::isnan(points[i][0]) || std::isnan(points[i][1]);
+    };
+    std::sort(order.begin(), order.end(), [&](size_t x, size_t y) {
+        const bool nx = hasNan(x), ny = hasNan(y);
+        if (nx || ny)
+            return !nx && ny;
+        const ObjectivePoint &a = points[x], &b = points[y];
+        return a[0] < b[0] || (a[0] == b[0] && a[1] < b[1]);
+    });
+    std::vector<int> rank(n, 0);
+    for (size_t i = 1; i < n; ++i) {
+        const ObjectivePoint &p = points[order[i]];
+        int r = 0;
+        for (size_t j = 0; j < i; ++j) {
+            if (rank[order[j]] >= r && dominates(points[order[j]], p))
+                r = rank[order[j]] + 1;
         }
-        for (size_t i : front) {
-            rank[i] = current;
-            assigned[i] = 1;
-        }
-        remaining -= front.size();
-        ++current;
+        rank[order[i]] = r;
     }
     return rank;
 }

@@ -9,20 +9,24 @@
  */
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <vector>
 
 namespace mse {
 
-/** A point in objective space (all objectives minimized). */
-using ObjectivePoint = std::vector<double>;
+/** A point in (energy, latency) objective space (both minimized). */
+using ObjectivePoint = std::array<double, 2>;
 
 /** True iff a dominates b (<= everywhere, < somewhere). */
 bool dominates(const ObjectivePoint &a, const ObjectivePoint &b);
 
 /**
- * Fast nondominated sorting: returns the Pareto rank of each point
- * (0 = on the frontier, 1 = frontier after removing rank 0, ...).
+ * Nondominated sorting: returns the Pareto rank of each point (0 = on
+ * the frontier, 1 = frontier after removing rank 0, ...). A point's rank
+ * is the length of the longest dominance chain above it, computed in
+ * O(n^2) after a sort; this equals front-by-front peeling whenever
+ * dominance is a strict partial order (finite and infinite costs).
  */
 std::vector<int> paretoRanks(const std::vector<ObjectivePoint> &points);
 

@@ -23,16 +23,19 @@ randomPermutation(int n, Rng &rng)
     return p;
 }
 
+void
+randomPermutationInto(int64_t *perm, int n, Rng &rng)
+{
+    std::iota(perm, perm + n, int64_t{0});
+    // Rng::shuffle's Fisher-Yates, draw for draw.
+    for (size_t i = static_cast<size_t>(n); i > 1; --i)
+        std::swap(perm[i - 1], perm[rng.index(i)]);
+}
+
 bool
 isPermutation(const std::vector<int> &perm)
 {
-    std::vector<bool> seen(perm.size(), false);
-    for (int v : perm) {
-        if (v < 0 || static_cast<size_t>(v) >= perm.size() || seen[v])
-            return false;
-        seen[v] = true;
-    }
-    return true;
+    return isPermutation<std::vector<int>>(perm);
 }
 
 uint64_t

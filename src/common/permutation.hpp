@@ -8,7 +8,9 @@
  */
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <vector>
 
 namespace mse {
@@ -21,8 +23,31 @@ std::vector<int> identityPermutation(int n);
 /** A uniformly random permutation of [0, n). */
 std::vector<int> randomPermutation(int n, Rng &rng);
 
-/** True iff perm is a permutation of [0, n). */
+/** True iff perm is a permutation of [0, perm.size()). */
 bool isPermutation(const std::vector<int> &perm);
+
+/** The same check over any sized range of integers (a Mapping row). */
+template <typename Range>
+bool
+isPermutation(const Range &perm)
+{
+    const size_t n = std::size(perm);
+    std::vector<bool> seen(n, false);
+    for (const auto v : perm) {
+        if (v < 0 || static_cast<size_t>(v) >= n ||
+            seen[static_cast<size_t>(v)]) {
+            return false;
+        }
+        seen[static_cast<size_t>(v)] = true;
+    }
+    return true;
+}
+
+/**
+ * Overwrite perm[0, n) with a uniformly random permutation of [0, n),
+ * drawing exactly what randomPermutation(n, rng) draws.
+ */
+void randomPermutationInto(int64_t *perm, int n, Rng &rng);
 
 /**
  * Lexicographic rank of a permutation in [0, n!). Factorial-number-system

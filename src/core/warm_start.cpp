@@ -41,11 +41,11 @@ warmStartSeeds(const MapSpace &space, const ReplayBuffer &buffer,
     for (size_t i = 1; i < count; ++i) {
         Mapping variant = scaled;
         for (int l = 0; l < variant.numLevels(); ++l) {
-            variant.level(l).order =
-                randomPermutation(variant.numDims(), rng);
+            randomPermutationInto(variant.level(l).order.data(),
+                                  variant.numDims(), rng);
         }
         space.repair(variant);
-        seeds.push_back(variant);
+        seeds.push_back(std::move(variant));
     }
     return seeds;
 }

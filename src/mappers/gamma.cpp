@@ -50,12 +50,7 @@ GammaMapper::mutateOrder(Mapping &m, Rng &rng)
 void
 GammaMapper::mutateParallel(const MapSpace &space, Mapping &m, Rng &rng)
 {
-    // Candidate spatial levels.
-    std::vector<int> levels;
-    for (int l = 0; l < m.numLevels(); ++l) {
-        if (space.arch().levels[l].fanout > 1)
-            levels.push_back(l);
-    }
+    const std::vector<int> &levels = space.spatialLevels();
     if (levels.empty())
         return;
     const int l = levels[rng.index(levels.size())];
@@ -109,7 +104,7 @@ GammaMapper::crossover(const Mapping &a, const Mapping &b, Rng &rng)
     // dimension's factor product intact.
     for (int d = 0; d < child.numDims(); ++d) {
         if (rng.chance(0.5))
-            child.setFactorColumn(d, b.factorColumn(d));
+            child.copyFactorColumn(d, b);
     }
     // Orders and bypass directives travel together per level.
     for (int l = 0; l < child.numLevels(); ++l) {
@@ -128,34 +123,46 @@ GammaMapper::search(const MapSpace &space, const EvalFn &eval,
     SearchTracker tracker(eval, budget);
     const size_t pop_size = std::max<size_t>(cfg_.population, 4);
 
+    // A survivor keeps only the cost fields selection reads.
     struct Individual
     {
         Mapping mapping;
-        CostResult cost;
+        double energy_uj;
+        double latency_cycles;
+        double edp;
     };
     std::vector<Individual> pop;
     pop.reserve(pop_size);
+
+    // Evaluate a batch as one call and move each evaluated candidate
+    // into its Individual (the tracker may cut the batch short at the
+    // sample budget); leaves `batch` empty for reuse.
+    const auto evaluateInto = [&](std::vector<Mapping> &batch,
+                                  std::vector<Individual> &into) {
+        const auto &costs = tracker.evaluateBatch(batch);
+        for (size_t i = 0; i < costs.size(); ++i) {
+            into.push_back({std::move(batch[i]), costs[i].energy_uj,
+                            costs[i].latency_cycles, costs[i].edp});
+        }
+        batch.clear();
+    };
 
     // Initial population: warm-start seeds first, random fill. The whole
     // generation is built up front and evaluated as one batch; candidate
     // construction stays on this thread so the RNG stream is identical
     // at any thread count.
-    std::vector<Mapping> initial;
-    initial.reserve(pop_size);
+    std::vector<Mapping> batch;
+    batch.reserve(pop_size);
     for (const auto &seed : seeds_) {
-        if (initial.size() >= pop_size)
+        if (batch.size() >= pop_size)
             break;
         Mapping m = seed;
         space.repair(m);
-        initial.push_back(std::move(m));
+        batch.push_back(std::move(m));
     }
-    while (initial.size() < pop_size)
-        initial.push_back(space.randomMapping(rng));
-    {
-        const auto &costs = tracker.evaluateBatch(initial);
-        for (size_t i = 0; i < costs.size(); ++i)
-            pop.push_back(Individual{initial[i], costs[i]});
-    }
+    while (batch.size() < pop_size)
+        batch.push_back(space.randomMapping(rng));
+    evaluateInto(batch, pop);
     tracker.endGeneration();
     if (pop.empty())
         return tracker.takeResult();
@@ -165,47 +172,43 @@ GammaMapper::search(const MapSpace &space, const EvalFn &eval,
                                 cfg_.elite_fraction *
                                 static_cast<double>(pop.size())));
 
+    std::vector<size_t> idx;
+    std::vector<int> ranks;
+    std::vector<ObjectivePoint> pts;
+    std::vector<Individual> next;
+    next.reserve(pop.size());
     while (!tracker.exhausted()) {
         // Rank the population: nondominated rank, EDP tiebreak.
-        std::vector<size_t> idx(pop.size());
+        idx.resize(pop.size());
         for (size_t i = 0; i < idx.size(); ++i)
             idx[i] = i;
-        std::vector<int> ranks(pop.size(), 0);
         if (cfg_.multi_objective) {
-            std::vector<ObjectivePoint> pts;
-            pts.reserve(pop.size());
-            for (const auto &ind : pop) {
-                pts.push_back({ind.cost.energy_uj,
-                               ind.cost.latency_cycles});
-            }
+            pts.clear();
+            for (const auto &ind : pop)
+                pts.push_back({ind.energy_uj, ind.latency_cycles});
             ranks = paretoRanks(pts);
+        } else {
+            ranks.assign(pop.size(), 0);
         }
         std::sort(idx.begin(), idx.end(), [&](size_t x, size_t y) {
             if (ranks[x] != ranks[y])
                 return ranks[x] < ranks[y];
-            return pop[x].cost.edp < pop[y].cost.edp;
+            return pop[x].edp < pop[y].edp;
         });
-
-        // Elites survive; the rest are replaced by offspring.
-        std::vector<Individual> next;
-        next.reserve(pop.size());
-        for (size_t i = 0; i < elites; ++i)
-            next.push_back(pop[idx[i]]);
 
         auto tournament = [&]() -> const Individual & {
             const size_t a = idx[rng.index(std::max<size_t>(
                 pop.size() / 2, 1))];
             const size_t b = idx[rng.index(pop.size())];
-            return pop[a].cost.edp <= pop[b].cost.edp ? pop[a] : pop[b];
+            return pop[a].edp <= pop[b].edp ? pop[a] : pop[b];
         };
 
-        // Build the whole offspring generation, then evaluate it as one
-        // parallel batch (reduced in submission order by the tracker).
-        std::vector<Mapping> offspring;
-        offspring.reserve(pop.size() - next.size());
-        while (next.size() + offspring.size() < pop.size()) {
+        // Elites survive; the rest are replaced by offspring. Build the
+        // whole offspring generation, then evaluate it as one batch
+        // (reduced in submission order by the tracker).
+        while (elites + batch.size() < pop.size()) {
             if (rng.chance(cfg_.random_immigrant_prob)) {
-                offspring.push_back(space.randomMapping(rng));
+                batch.push_back(space.randomMapping(rng));
                 continue;
             }
             const Individual &pa = tournament();
@@ -229,11 +232,13 @@ GammaMapper::search(const MapSpace &space, const EvalFn &eval,
                 mutateBypass(space, child, rng);
             }
             space.repair(child);
-            offspring.push_back(std::move(child));
+            batch.push_back(std::move(child));
         }
-        const auto &costs = tracker.evaluateBatch(offspring);
-        for (size_t i = 0; i < costs.size(); ++i)
-            next.push_back(Individual{offspring[i], costs[i]});
+        // The parents are no longer read, so elites move, not copy.
+        next.clear();
+        for (size_t i = 0; i < elites; ++i)
+            next.push_back(std::move(pop[idx[i]]));
+        evaluateInto(batch, next);
         pop.swap(next);
         tracker.endGeneration();
     }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/math_util.hpp"
 #include "common/permutation.hpp"
 
 namespace mse {
@@ -22,17 +21,25 @@ StandardGaMapper::search(const MapSpace &space, const EvalFn &eval,
         double edp;
     };
     std::vector<Individual> pop;
+
+    // Evaluate a batch as one call and move each evaluated candidate
+    // into its Individual (the tracker may cut the batch short at the
+    // sample budget); leaves `batch` empty for reuse.
+    const auto evaluateInto = [&](std::vector<Mapping> &batch,
+                                  std::vector<Individual> &into) {
+        const auto &costs = tracker.evaluateBatch(batch);
+        for (size_t i = 0; i < costs.size(); ++i)
+            into.push_back({std::move(batch[i]), costs[i].edp});
+        batch.clear();
+    };
+
     // Batched initialization: candidates are drawn serially (fixed RNG
     // stream), evaluated in parallel, reduced in submission order.
-    std::vector<Mapping> initial;
-    initial.reserve(pop_size);
-    while (initial.size() < pop_size)
-        initial.push_back(space.randomMapping(rng));
-    {
-        const auto &costs = tracker.evaluateBatch(initial);
-        for (size_t i = 0; i < costs.size(); ++i)
-            pop.push_back({initial[i], costs[i].edp});
-    }
+    std::vector<Mapping> batch;
+    batch.reserve(pop_size);
+    while (batch.size() < pop_size)
+        batch.push_back(space.randomMapping(rng));
+    evaluateInto(batch, pop);
     tracker.endGeneration();
     if (pop.empty())
         return tracker.takeResult();
@@ -42,17 +49,15 @@ StandardGaMapper::search(const MapSpace &space, const EvalFn &eval,
                                static_cast<double>(pop.size())));
     const size_t genes = static_cast<size_t>(D) * 2 * L; // factor slots
 
+    std::vector<size_t> idx;
+    std::vector<Individual> next;
     while (!tracker.exhausted()) {
-        std::vector<size_t> idx(pop.size());
+        idx.resize(pop.size());
         for (size_t i = 0; i < idx.size(); ++i)
             idx[i] = i;
         std::sort(idx.begin(), idx.end(), [&](size_t a, size_t b) {
             return pop[a].edp < pop[b].edp;
         });
-
-        std::vector<Individual> next;
-        for (size_t i = 0; i < elites; ++i)
-            next.push_back(pop[idx[i]]);
 
         auto parent = [&]() -> const Individual & {
             const size_t a = rng.index(pop.size());
@@ -60,10 +65,9 @@ StandardGaMapper::search(const MapSpace &space, const EvalFn &eval,
             return pop[a].edp <= pop[b].edp ? pop[a] : pop[b];
         };
 
-        // Build the offspring generation, then evaluate as one batch.
-        std::vector<Mapping> offspring;
-        offspring.reserve(pop_size - next.size());
-        while (next.size() + offspring.size() < pop_size) {
+        // Elites survive; build the offspring generation, then
+        // evaluate it as one batch.
+        while (elites + batch.size() < pop_size) {
             const Individual &pa = parent();
             Mapping child = pa.mapping;
             if (rng.chance(cfg_.crossover_prob)) {
@@ -98,7 +102,7 @@ StandardGaMapper::search(const MapSpace &space, const EvalFn &eval,
                 const int d = static_cast<int>(g / (2 * L));
                 const int slot = static_cast<int>(g % (2 * L));
                 const int l = slot / 2;
-                const auto divs = divisorsOf(space.workload().bound(d));
+                const auto &divs = space.divisors(space.workload().bound(d));
                 const int64_t v = divs[rng.index(divs.size())];
                 if (slot % 2 == 0)
                     child.level(l).temporal[d] = v;
@@ -107,17 +111,20 @@ StandardGaMapper::search(const MapSpace &space, const EvalFn &eval,
             }
             for (int l = 0; l < L; ++l) {
                 if (rng.chance(cfg_.mutation_prob))
-                    child.level(l).order = randomPermutation(D, rng);
+                    randomPermutationInto(child.level(l).order.data(), D,
+                                          rng);
             }
             // No domain repair: a standard GA decodes the genome as-is
             // and lets illegal offspring (broken factor products,
             // blown capacities) die with infinite fitness. This is the
             // handicap Gamma's per-axis operators avoid.
-            offspring.push_back(std::move(child));
+            batch.push_back(std::move(child));
         }
-        const auto &costs = tracker.evaluateBatch(offspring);
-        for (size_t i = 0; i < costs.size(); ++i)
-            next.push_back({offspring[i], costs[i].edp});
+        // The parents are no longer read, so elites move, not copy.
+        next.clear();
+        for (size_t i = 0; i < elites; ++i)
+            next.push_back(std::move(pop[idx[i]]));
+        evaluateInto(batch, next);
         pop.swap(next);
         tracker.endGeneration();
     }

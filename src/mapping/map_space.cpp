@@ -41,6 +41,10 @@ MapSpace::MapSpace(Workload wl, ArchConfig arch)
 {
     if (arch_.levels.empty())
         throw std::invalid_argument("map space: empty architecture");
+    for (int l = 0; l < arch_.numLevels(); ++l) {
+        if (arch_.levels[l].fanout > 1)
+            spatial_levels_.push_back(l);
+    }
     // Divisor closure: any factor value a mapper can produce is a
     // divisor of some bound, and divisors of divisors are divisors.
     for (int64_t b : wl_.bounds()) {
@@ -121,12 +125,11 @@ MapSpace::repairCapacity(Mapping &m) const
     }
 }
 
-MappingError
+void
 MapSpace::repair(Mapping &m) const
 {
     repairFanout(m);
     repairCapacity(m);
-    return validateMapping(wl_, arch_, m);
 }
 
 Mapping
@@ -137,34 +140,27 @@ MapSpace::randomMapping(Rng &rng) const
     Mapping m(L, D);
 
     // Per-dimension factorization over temporal slots plus the spatial
-    // slots of levels that actually have fanout.
-    std::vector<int> spatial_levels;
-    for (int l = 0; l < L; ++l) {
-        if (arch_.levels[l].fanout > 1)
-            spatial_levels.push_back(l);
-    }
-    const int slots = L + static_cast<int>(spatial_levels.size());
+    // slots of levels that actually have fanout (the cached equivalent
+    // of sampleFactorization()). Slot i < L is level i's temporal
+    // factor, slot L + k the k-th spatial level's spatial factor.
+    const int slots = L + static_cast<int>(spatial_levels_.size());
+    const auto slot = [&](int i, int d) -> int64_t & {
+        return i < L ? m.level(i).temporal[d]
+                     : m.level(spatial_levels_[i - L]).spatial[d];
+    };
     for (int d = 0; d < D; ++d) {
-        // Cached equivalent of sampleFactorization().
-        std::vector<int64_t> factors;
-        factors.reserve(slots);
         int64_t rem = wl_.bound(d);
         for (int i = 0; i < slots - 1; ++i) {
             const auto &divs = divisors(rem);
             const int64_t f = divs[rng.index(divs.size())];
-            factors.push_back(f);
+            slot(i, d) = f;
             rem /= f;
         }
-        factors.push_back(rem);
-        int idx = 0;
-        for (int l = 0; l < L; ++l)
-            m.level(l).temporal[d] = factors[idx++];
-        for (int l : spatial_levels)
-            m.level(l).spatial[d] = factors[idx++];
+        slot(slots - 1, d) = rem;
     }
 
     for (int l = 0; l < L; ++l)
-        m.level(l).order = randomPermutation(D, rng);
+        randomPermutationInto(m.level(l).order.data(), D, rng);
 
     repairFanout(m);
     repairCapacity(m);
@@ -186,8 +182,10 @@ MapSpace::canScaleFrom(const Workload &source) const
 Mapping
 MapSpace::scaleFrom(const Mapping &m, const Workload &source, Rng &rng) const
 {
-    if (source.numDims() != wl_.numDims() || m.numDims() != wl_.numDims())
+    if (source.numDims() != wl_.numDims() || m.numDims() != wl_.numDims() ||
+        m.numLevels() != numLevels()) {
         return randomMapping(rng);
+    }
 
     const int L = numLevels();
     const int D = numDims();
@@ -231,12 +229,8 @@ MapSpace::size() const
             std::log10(countOrderedFactorizations(wl_.bound(d), L));
     }
     sz.log10_order = L * std::log10(static_cast<double>(factorial(D)));
-    int spatial_levels = 0;
-    for (const auto &lvl : arch_.levels) {
-        if (lvl.fanout > 1)
-            ++spatial_levels;
-    }
-    sz.log10_parallel = spatial_levels * D * std::log10(2.0);
+    sz.log10_parallel = static_cast<double>(spatial_levels_.size()) * D *
+        std::log10(2.0);
     sz.log10_total = sz.log10_tile + sz.log10_order + sz.log10_parallel;
     return sz;
 }

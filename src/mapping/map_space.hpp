@@ -65,14 +65,21 @@ class MapSpace
      */
     void repairCapacity(Mapping &m) const;
 
-    /** Both repairs, innermost first. Returns the final validation. */
-    MappingError repair(Mapping &m) const;
+    /**
+     * Both repairs, innermost first. The result is factor- and
+     * fanout-legal whenever the input was factor-legal, and fits every
+     * buffer unless even the minimal tile overflows one; callers that
+     * need the verdict run validateMapping.
+     */
+    void repair(Mapping &m) const;
 
     /**
      * Warm-start re-scaling (Sec. 5.1.2): inherit order and parallelism
      * from `m` (a mapping of `source`), and adjust per-dimension tile
      * factors to this map space's workload, pushing any mismatch into the
-     * outermost temporal level; then repair. Requires equal dim counts.
+     * outermost temporal level; then repair. A mapping with another dim
+     * or level count (e.g. a store record of another shape) cannot be
+     * re-scaled and yields a random mapping instead.
      */
     Mapping scaleFrom(const Mapping &m, const Workload &source,
                       Rng &rng) const;
@@ -85,6 +92,9 @@ class MapSpace
      * model sweep deciding warm vs. cold start — check this first.
      */
     bool canScaleFrom(const Workload &source) const;
+
+    /** Levels with fanout > 1 (the ones with a spatial slot), inner first. */
+    const std::vector<int> &spatialLevels() const { return spatial_levels_; }
 
     /** Analytic size of this map space (Sec. 4.2 decomposition). */
     MapSpaceSize size() const;
@@ -99,6 +109,7 @@ class MapSpace
   private:
     Workload wl_;
     ArchConfig arch_;
+    std::vector<int> spatial_levels_;
     mutable std::unordered_map<int64_t, std::vector<int64_t>>
         divisor_cache_;
 };

@@ -1,6 +1,8 @@
 #include "mapping/mapping.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <numeric>
 #include <sstream>
 
 #include "common/permutation.hpp"
@@ -9,20 +11,28 @@ namespace mse {
 
 Mapping::Mapping(int num_levels, int num_dims)
 {
-    levels_.resize(num_levels);
-    for (auto &lvl : levels_) {
-        lvl.temporal.assign(num_dims, 1);
-        lvl.spatial.assign(num_dims, 1);
-        lvl.order = identityPermutation(num_dims);
+    if (num_levels < 0 || num_dims < 0)
+        throw std::invalid_argument("mapping: negative shape");
+    levels_ = num_levels;
+    dims_ = num_levels > 0 ? num_dims : 0;
+    const size_t ld = static_cast<size_t>(levels_) * dims_;
+    buf_.assign(3 * ld + 2 * static_cast<size_t>(levels_), 0);
+    std::fill_n(buf_.begin(), 2 * ld, int64_t{1});
+    for (int l = 0; l < levels_; ++l) {
+        const MappingRow<int64_t> ord = row(kOrder, l);
+        std::iota(ord.begin(), ord.end(), int64_t{0});
     }
 }
 
 int64_t
 Mapping::cumulativeFactor(int l, int d) const
 {
+    const int64_t *tf = buf_.data() + d;
+    const int64_t *sf = tf + static_cast<size_t>(levels_) * dims_;
     int64_t p = 1;
     for (int i = 0; i <= l; ++i)
-        p *= levels_[i].temporal[d] * levels_[i].spatial[d];
+        p *= tf[static_cast<size_t>(i) * dims_] *
+            sf[static_cast<size_t>(i) * dims_];
     return p;
 }
 
@@ -36,81 +46,61 @@ int64_t
 Mapping::spatialProduct(int l) const
 {
     int64_t p = 1;
-    for (int64_t s : levels_[l].spatial)
+    for (int64_t s : row(kSpatial, l))
         p *= s;
     return p;
 }
 
-std::vector<int64_t>
-Mapping::factorColumn(int d) const
-{
-    std::vector<int64_t> col;
-    col.reserve(2 * levels_.size());
-    for (const auto &lvl : levels_) {
-        col.push_back(lvl.temporal[d]);
-        col.push_back(lvl.spatial[d]);
-    }
-    return col;
-}
-
 void
-Mapping::setFactorColumn(int d, const std::vector<int64_t> &column)
+Mapping::copyFactorColumn(int d, const Mapping &src)
 {
-    for (size_t l = 0; l < levels_.size(); ++l) {
-        levels_[l].temporal[d] = column[2 * l];
-        levels_[l].spatial[d] = column[2 * l + 1];
-    }
+    const size_t ld = static_cast<size_t>(levels_) * dims_;
+    for (size_t i = static_cast<size_t>(d); i < 2 * ld; i += dims_)
+        buf_[i] = src.buf_[i];
 }
 
 void
 Mapping::setKeep(int l, int t, bool keep, int num_tensors)
 {
-    auto &mask = levels_[l].keep;
-    if (mask.empty())
-        mask.assign(static_cast<size_t>(num_tensors), 1);
-    mask[static_cast<size_t>(t)] = keep ? 1 : 0;
+    if (num_tensors > kMaxKeepTensors)
+        throw std::invalid_argument("mapping: keep mask too long");
+    int64_t *w = keepWords(l);
+    if (w[0] == 0) {
+        w[0] = num_tensors;
+        w[1] = static_cast<int64_t>(
+            num_tensors >= 64 ? ~uint64_t{0}
+                              : (uint64_t{1} << num_tensors) - 1);
+    }
+    const uint64_t bit = uint64_t{1} << t;
+    const uint64_t bits = static_cast<uint64_t>(w[1]);
+    w[1] = static_cast<int64_t>(keep ? bits | bit : bits & ~bit);
 }
 
-std::string
-Mapping::canonicalKey() const
+void
+Mapping::setKeepMask(int l, const std::vector<uint8_t> &mask)
 {
-    std::ostringstream os;
-    for (const auto &lvl : levels_) {
-        for (size_t d = 0; d < lvl.temporal.size(); ++d)
-            os << lvl.temporal[d] << "." << lvl.spatial[d] << ",";
-        // Canonical order: runs of adjacent unit loops are sorted so that
-        // permutations among them collapse to one key.
-        std::vector<int> canon = lvl.order;
-        size_t i = 0;
-        while (i < canon.size()) {
-            size_t j = i;
-            while (j < canon.size() && lvl.temporal[canon[j]] == 1)
-                ++j;
-            if (j > i)
-                std::sort(canon.begin() + i, canon.begin() + j);
-            i = std::max(j, i + 1);
-        }
-        for (int o : canon)
-            os << o << ";";
-        if (!lvl.keep.empty()) {
-            os << "k";
-            for (uint8_t k : lvl.keep)
-                os << static_cast<int>(k);
-        }
-        os << "|";
+    if (mask.size() > static_cast<size_t>(kMaxKeepTensors))
+        throw std::invalid_argument("mapping: keep mask too long");
+    uint64_t bits = 0;
+    for (size_t t = 0; t < mask.size(); ++t) {
+        if (mask[t])
+            bits |= uint64_t{1} << t;
     }
-    return os.str();
+    int64_t *w = keepWords(l);
+    w[0] = static_cast<int64_t>(mask.size());
+    w[1] = static_cast<int64_t>(bits);
 }
 
 namespace {
 
 /**
- * Order with runs of unit-temporal loops sorted (see canonicalKey).
- * Writes into a caller-provided buffer to keep operator== allocation-free
- * (its buffers are thread_local because it runs on eval-pool workers).
+ * Order with runs of unit-temporal loops sorted, so that permutations
+ * among them collapse to one canonical order. Writes into a
+ * caller-provided buffer to keep operator== allocation-free (its
+ * buffers are thread_local because it runs on eval-pool workers).
  */
 void
-canonicalOrderInto(const LevelMapping &lvl, std::vector<int> &canon)
+canonicalOrderInto(const ConstLevelMapping &lvl, std::vector<int64_t> &canon)
 {
     canon.assign(lvl.order.begin(), lvl.order.end());
     size_t i = 0;
@@ -124,42 +114,71 @@ canonicalOrderInto(const LevelMapping &lvl, std::vector<int> &canon)
     }
 }
 
-/** True iff the keep mask actually bypasses something. */
-bool
-maskBypasses(const std::vector<uint8_t> &mask)
+/** Append the decimal digits of v to out. */
+void
+appendInt(std::string &out, int64_t v)
 {
-    for (uint8_t k : mask) {
-        if (k == 0)
-            return true;
-    }
-    return false;
+    char buf[24];
+    const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+    out.append(buf, res.ptr);
 }
 
 } // namespace
 
+std::string
+Mapping::canonicalKey() const
+{
+    static thread_local std::vector<int64_t> canon;
+    std::string key;
+    key.reserve(static_cast<size_t>(levels_) * (6 * dims_ + 4));
+    for (int l = 0; l < levels_; ++l) {
+        const ConstLevelMapping lvl = level(l);
+        for (int d = 0; d < dims_; ++d) {
+            appendInt(key, lvl.temporal[d]);
+            key += '.';
+            appendInt(key, lvl.spatial[d]);
+            key += ',';
+        }
+        canonicalOrderInto(lvl, canon);
+        for (int64_t o : canon) {
+            appendInt(key, o);
+            key += ';';
+        }
+        if (!lvl.keep.empty()) {
+            key += 'k';
+            for (size_t t = 0; t < lvl.keep.size(); ++t)
+                key += static_cast<char>('0' + lvl.keep[t]);
+        }
+        key += '|';
+    }
+    return key;
+}
+
 bool
 Mapping::operator==(const Mapping &other) const
 {
-    static thread_local std::vector<int> canon_a, canon_b;
-    if (levels_.size() != other.levels_.size())
+    static thread_local std::vector<int64_t> canon_a, canon_b;
+    if (levels_ != other.levels_ || dims_ != other.dims_)
         return false;
-    for (size_t l = 0; l < levels_.size(); ++l) {
-        const auto &a = levels_[l];
-        const auto &b = other.levels_[l];
-        if (a.temporal != b.temporal || a.spatial != b.spatial)
-            return false;
+    const size_t ld = static_cast<size_t>(levels_) * dims_;
+    if (!std::equal(buf_.begin(), buf_.begin() + 2 * ld,
+                    other.buf_.begin()))
+        return false;
+    for (int l = 0; l < levels_; ++l) {
+        const ConstLevelMapping a = level(l);
+        const ConstLevelMapping b = other.level(l);
         // Exact order match (the common case: GA elites and un-mutated
         // clones are verbatim copies) short-circuits canonicalization.
-        if (a.order != b.order) {
+        if (!(a.order == b.order)) {
             canonicalOrderInto(a, canon_a);
             canonicalOrderInto(b, canon_b);
             if (canon_a != canon_b)
                 return false;
         }
-        const bool ab = maskBypasses(a.keep);
-        if (ab != maskBypasses(b.keep))
+        const bool ab = a.keep.bypassesAny();
+        if (ab != b.keep.bypassesAny())
             return false;
-        if (ab && a.keep != b.keep)
+        if (ab && !(a.keep == b.keep))
             return false;
     }
     return true;
@@ -170,31 +189,32 @@ Mapping::toString(const Workload &wl) const
 {
     std::ostringstream os;
     for (int l = numLevels() - 1; l >= 0; --l) {
+        const ConstLevelMapping lvl = level(l);
         os << "Level " << l << ":";
         os << " order=[";
-        for (size_t i = 0; i < levels_[l].order.size(); ++i) {
+        for (size_t i = 0; i < lvl.order.size(); ++i) {
             if (i)
                 os << " ";
-            os << wl.dimNames()[levels_[l].order[i]];
+            os << wl.dimNames()[lvl.order[i]];
         }
         os << "] temporal=(";
         for (int d = 0; d < numDims(); ++d) {
             if (d)
                 os << ",";
-            os << levels_[l].temporal[d];
+            os << lvl.temporal[d];
         }
         os << ") spatial=(";
         for (int d = 0; d < numDims(); ++d) {
             if (d)
                 os << ",";
-            os << levels_[l].spatial[d];
+            os << lvl.spatial[d];
         }
         os << ")";
-        if (!levels_[l].keep.empty()) {
+        if (!lvl.keep.empty()) {
             os << " bypass=[";
             bool first = true;
-            for (size_t t = 0; t < levels_[l].keep.size(); ++t) {
-                if (!levels_[l].keep[t]) {
+            for (size_t t = 0; t < lvl.keep.size(); ++t) {
+                if (!lvl.keep[t]) {
                     if (!first)
                         os << " ";
                     os << wl.tensor(static_cast<int>(t)).name;
@@ -241,15 +261,10 @@ validateMapping(const Workload &wl, const ArchConfig &arch, const Mapping &m)
 {
     const int num_dims = wl.numDims();
     const int num_levels = arch.numLevels();
-    if (m.numLevels() != num_levels)
+    if (m.numLevels() != num_levels || m.numDims() != num_dims)
         return MappingError::BadShape;
     for (int l = 0; l < num_levels; ++l) {
-        const auto &lvl = m.level(l);
-        if (static_cast<int>(lvl.temporal.size()) != num_dims ||
-            static_cast<int>(lvl.spatial.size()) != num_dims ||
-            static_cast<int>(lvl.order.size()) != num_dims) {
-            return MappingError::BadShape;
-        }
+        const ConstLevelMapping lvl = m.level(l);
         if (!isPermutation(lvl.order))
             return MappingError::BadOrder;
         for (int d = 0; d < num_dims; ++d) {

@@ -1,5 +1,7 @@
 #include "mapping/mapping_io.hpp"
 
+#include <charconv>
+#include <cstring>
 #include <sstream>
 
 #include "common/permutation.hpp"
@@ -54,6 +56,25 @@ parseList(const std::string &body, std::vector<int64_t> &out)
     return !out.empty();
 }
 
+/**
+ * Parse one "L=<n>" / "D=<n>" header field into out. Shapes outside
+ * [1, 32] are refused before anything is allocated for them: 32 is the
+ * workload dimension cap and the evaluation plan's level cap, so no
+ * legal mapping is larger, and a hostile line must not make the decoder
+ * allocate L*D words.
+ */
+bool
+parseShape(const std::string &token, const char *prefix, int &out)
+{
+    if (token.rfind(prefix, 0) != 0)
+        return false;
+    const char *first = token.data() + std::strlen(prefix);
+    const char *last = token.data() + token.size();
+    const auto res = std::from_chars(first, last, out);
+    return res.ec == std::errc() && res.ptr == last && out >= 1 &&
+        out <= 32;
+}
+
 } // namespace
 
 std::optional<Mapping>
@@ -65,13 +86,11 @@ parseMapping(const std::string &text)
         return std::nullopt;
 
     int num_levels = -1, num_dims = -1;
-    if (!std::getline(is, token, ';') || token.rfind("L=", 0) != 0)
+    if (!std::getline(is, token, ';') ||
+        !parseShape(token, "L=", num_levels)) {
         return std::nullopt;
-    num_levels = std::atoi(token.c_str() + 2);
-    if (!std::getline(is, token, ';') || token.rfind("D=", 0) != 0)
-        return std::nullopt;
-    num_dims = std::atoi(token.c_str() + 2);
-    if (num_levels < 1 || num_dims < 1)
+    }
+    if (!std::getline(is, token, ';') || !parseShape(token, "D=", num_dims))
         return std::nullopt;
 
     Mapping m(num_levels, num_dims);
@@ -92,35 +111,35 @@ parseMapping(const std::string &text)
               case 't':
                 if (static_cast<int>(values.size()) != num_dims)
                     return std::nullopt;
-                m.level(level).temporal.assign(values.begin(),
-                                               values.end());
+                m.level(level).temporal = values;
                 saw_t = true;
                 break;
               case 's':
                 if (static_cast<int>(values.size()) != num_dims)
                     return std::nullopt;
-                m.level(level).spatial.assign(values.begin(),
-                                              values.end());
+                m.level(level).spatial = values;
                 saw_s = true;
                 break;
-              case 'o': {
-                if (static_cast<int>(values.size()) != num_dims)
+              case 'o':
+                if (static_cast<int>(values.size()) != num_dims ||
+                    !isPermutation(values)) {
                     return std::nullopt;
-                std::vector<int> order(values.begin(), values.end());
-                if (!isPermutation(order))
-                    return std::nullopt;
-                m.level(level).order = order;
+                }
+                m.level(level).order = values;
                 saw_o = true;
                 break;
-              }
               case 'k': {
+                if (values.size() >
+                    static_cast<size_t>(Mapping::kMaxKeepTensors)) {
+                    return std::nullopt;
+                }
                 std::vector<uint8_t> keep;
                 for (int64_t v : values) {
                     if (v != 0 && v != 1)
                         return std::nullopt;
                     keep.push_back(static_cast<uint8_t>(v));
                 }
-                m.level(level).keep = keep;
+                m.setKeepMask(level, keep);
                 break;
               }
               default:

@@ -60,46 +60,22 @@ soaTile(const EvalPlan &p, const Mapping *batch, size_t k,
         s.err.resize(k);
     detail::ensureScratch(p, s.es);
 
-    // Candidates arrive as freshly heap-built Mappings whose per-level
-    // arrays are scattered small allocations; a linear walk stalls on
-    // ~10 dependent cache misses per candidate. Issuing the leaf-array
-    // prefetches for the whole tile up front overlaps those misses
-    // across candidates before Stage A starts consuming them.
-    for (size_t j = 0; j < k; ++j) {
-        const Mapping &m = batch[j];
-        const int nl = m.numLevels();
-        for (int l = 0; l < nl; ++l) {
-            const LevelMapping &lvl = m.level(l);
-            __builtin_prefetch(lvl.temporal.data());
-            __builtin_prefetch(lvl.spatial.data());
-            __builtin_prefetch(lvl.order.data());
-            if (!lvl.keep.empty())
-                __builtin_prefetch(lvl.keep.data());
-        }
-    }
-
     // Stage A — structural checks, per candidate (branchy by nature):
     // shape, loop-order permutation, factors >= 1, keep-mask size, and
     // DRAM keeping every tensor.
     for (size_t j = 0; j < k; ++j) {
         s.err[j] = MappingError::Ok;
         const Mapping &m = batch[j];
-        if (m.numLevels() != L) {
+        if (m.numLevels() != L || m.numDims() != D) {
             s.err[j] = MappingError::BadShape;
             continue;
         }
         for (int l = 0; l < L && s.err[j] == MappingError::Ok; ++l) {
-            const LevelMapping &lvl = m.level(l);
-            if (static_cast<int>(lvl.temporal.size()) != D ||
-                static_cast<int>(lvl.spatial.size()) != D ||
-                static_cast<int>(lvl.order.size()) != D) {
-                s.err[j] = MappingError::BadShape;
-                break;
-            }
+            const ConstLevelMapping lvl = m.level(l);
             uint32_t seen = 0;
-            for (const int v : lvl.order) {
-                if (static_cast<unsigned>(v) >=
-                        static_cast<unsigned>(D) ||
+            for (const int64_t v : lvl.order) {
+                if (static_cast<uint64_t>(v) >=
+                        static_cast<uint64_t>(D) ||
                     ((seen >> static_cast<unsigned>(v)) & 1u)) {
                     s.err[j] = MappingError::BadOrder;
                     break;
@@ -141,7 +117,7 @@ soaTile(const EvalPlan &p, const Mapping *batch, size_t k,
             continue;
         const Mapping &m = batch[j];
         for (int l = 0; l < L; ++l) {
-            const LevelMapping &lvl = m.level(l);
+            const ConstLevelMapping lvl = m.level(l);
             for (int d = 0; d < D; ++d) {
                 const size_t base = (static_cast<size_t>(l) * D + d) * k;
                 s.tf[base + j] = static_cast<uint64_t>(lvl.temporal[d]);
@@ -277,7 +253,7 @@ soaTile(const EvalPlan &p, const Mapping *batch, size_t k,
             s.es.fp[tl] = s.fp[tl * k + j];
         const Mapping &m = batch[j];
         for (int l = 0; l < L; ++l) {
-            const LevelMapping &lvl = m.level(l);
+            const ConstLevelMapping lvl = m.level(l);
             s.es.tf_ptr[l] = lvl.temporal.data();
             s.es.sf_ptr[l] = lvl.spatial.data();
             s.es.ord_ptr[l] = lvl.order.data();

@@ -15,7 +15,8 @@ namespace {
  * loops. 1 if no relevant loop iterates at this level.
  */
 double
-truncatedIterations(const Workload &wl, const LevelMapping &lvl, int t)
+truncatedIterations(const Workload &wl, const ConstLevelMapping &lvl,
+                    int t)
 {
     const int D = static_cast<int>(lvl.order.size());
     int innermost_relevant = -1;
@@ -36,7 +37,7 @@ truncatedIterations(const Workload &wl, const LevelMapping &lvl, int t)
 
 /** Product of spatial factors at level l over dims relevant to t. */
 double
-relevantSpatial(const Workload &wl, const LevelMapping &lvl, int t)
+relevantSpatial(const Workload &wl, const ConstLevelMapping &lvl, int t)
 {
     double prod = 1.0;
     for (size_t d = 0; d < lvl.spatial.size(); ++d) {

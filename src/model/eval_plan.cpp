@@ -63,15 +63,10 @@ MappingError
 validatePlanned(const EvalPlan &p, const Mapping &m, EvalScratch &s)
 {
     const int L = p.L, D = p.D, T = p.T;
-    if (m.numLevels() != L)
+    if (m.numLevels() != L || m.numDims() != D)
         return MappingError::BadShape;
     for (int l = 0; l < L; ++l) {
-        const LevelMapping &lvl = m.level(l);
-        if (static_cast<int>(lvl.temporal.size()) != D ||
-            static_cast<int>(lvl.spatial.size()) != D ||
-            static_cast<int>(lvl.order.size()) != D) {
-            return MappingError::BadShape;
-        }
+        const ConstLevelMapping lvl = m.level(l);
         // Dense views for every later pass (validation and the tail
         // both re-read these arrays several times; one pointer load
         // here replaces a vector deref per touch).
@@ -82,8 +77,8 @@ validatePlanned(const EvalPlan &p, const Mapping &m, EvalScratch &s)
         // indices (including negatives, via the unsigned cast) and
         // duplicates both fail exactly as the seen-array original did.
         uint32_t seen = 0;
-        for (const int v : lvl.order) {
-            if (static_cast<unsigned>(v) >= static_cast<unsigned>(D) ||
+        for (const int64_t v : lvl.order) {
+            if (static_cast<uint64_t>(v) >= static_cast<uint64_t>(D) ||
                 ((seen >> static_cast<unsigned>(v)) & 1u)) {
                 return MappingError::BadOrder;
             }
@@ -206,7 +201,7 @@ computeTensorCaches(const EvalPlan &p, EvalScratch &s)
 {
     const int L = p.L, D = p.D, T = p.T;
     for (int l = 0; l < L; ++l) {
-        const int *ord = s.ord_ptr[l];
+        const int64_t *ord = s.ord_ptr[l];
         const int64_t *tf = s.tf_ptr[l];
         const int64_t *sf = s.sf_ptr[l];
 
@@ -219,7 +214,7 @@ computeTensorCaches(const EvalPlan &p, EvalScratch &s)
             s.ia[t] = -1;
         uint32_t remaining = p.all_tensors;
         for (int j = D - 1; j >= 0 && remaining; --j) {
-            const int d = ord[j];
+            const int d = static_cast<int>(ord[j]);
             if (tf[d] > 1) {
                 uint32_t hit = p.dim_tensors[d] & remaining;
                 if (hit) {

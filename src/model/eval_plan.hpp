@@ -122,7 +122,7 @@ struct EvalScratch
     // every tensor's row computation shares.
     std::vector<const int64_t *> tf_ptr; ///< [L] temporal factors.
     std::vector<const int64_t *> sf_ptr; ///< [L] spatial factors.
-    std::vector<const int *> ord_ptr;    ///< [L] loop orders.
+    std::vector<const int64_t *> ord_ptr; ///< [L] loop orders.
     std::vector<uint8_t> kept;           ///< [T*L] residency mask.
     std::vector<int> ia;    ///< [T] innermost-relevant scratch.
     std::vector<int> nf_j;  ///< [D] non-unit iterating loop positions.

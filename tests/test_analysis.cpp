@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "mappers/gamma.hpp"
 #include "model/analysis.hpp"
 #include "test_helpers.hpp"
@@ -25,15 +27,10 @@ gemmWithInnermost(const Workload &wl, const ArchConfig &arch,
         m.level(arch.numLevels() - 1).temporal[d] = b / inner;
     }
     // Rotate the chosen dim to the innermost position at L1.
-    auto &order = m.level(0).order;
-    const int target = wl.dimIndex(inner_dim);
-    for (size_t i = 0; i < order.size(); ++i) {
-        if (order[i] == target) {
-            order.erase(order.begin() + static_cast<long>(i));
-            order.push_back(target);
-            break;
-        }
-    }
+    const auto order = m.level(0).order;
+    const auto it =
+        std::find(order.begin(), order.end(), wl.dimIndex(inner_dim));
+    std::rotate(it, it + 1, order.end());
     return m;
 }
 

@@ -45,7 +45,7 @@ TEST(Bypass, WrongMaskWidthRejected)
     const Workload wl = tinyGemm();
     const ArchConfig arch = flatArch();
     Mapping m = allAtTop(wl, arch);
-    m.level(0).keep = {1, 1}; // workload has 3 tensors
+    m.setKeepMask(0, {1, 1}); // workload has 3 tensors
     EXPECT_EQ(validateMapping(wl, arch, m), MappingError::BadShape);
 }
 

@@ -174,7 +174,7 @@ TEST_P(CostPropertyP, CanonicallyEquivalentMappingsEvaluateIdentically)
         const Mapping m = space.randomMapping(rng);
         Mapping variant = m;
         for (int l = 0; l < variant.numLevels(); ++l) {
-            auto &lvl = variant.level(l);
+            const auto lvl = variant.level(l);
             // Reverse every maximal run of unit-temporal loops.
             size_t a = 0;
             while (a < lvl.order.size()) {
@@ -187,8 +187,10 @@ TEST_P(CostPropertyP, CanonicallyEquivalentMappingsEvaluateIdentically)
                                  lvl.order.begin() + b);
                 a = std::max(b, a + 1);
             }
-            if (lvl.keep.empty())
-                lvl.keep.assign(static_cast<size_t>(tensors), 1);
+            if (lvl.keep.empty()) {
+                variant.setKeepMask(
+                    l, std::vector<uint8_t>(static_cast<size_t>(tensors), 1));
+            }
         }
         ASSERT_TRUE(variant == m) << combo_.name;
 

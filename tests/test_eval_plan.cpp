@@ -80,7 +80,7 @@ randomizedPopulation(const MapSpace &space, size_t n, uint64_t seed)
     for (size_t i = 0; i < n; ++i) {
         Mapping m = space.randomMapping(rng);
         const int L = m.numLevels();
-        const int D = static_cast<int>(m.level(0).temporal.size());
+        const int D = m.numDims();
         switch (i % 17) {
         case 3: // break the per-dimension factor product
             m.level(static_cast<int>(rng.index(L)))
@@ -91,7 +91,7 @@ randomizedPopulation(const MapSpace &space, size_t n, uint64_t seed)
                 .spatial[rng.index(D)] = 0;
             break;
         case 7: { // duplicate order entry (broken permutation)
-            auto &ord = m.level(static_cast<int>(rng.index(L))).order;
+            const auto ord = m.level(static_cast<int>(rng.index(L))).order;
             ord[0] = ord[D - 1];
             break;
         }
@@ -99,8 +99,10 @@ randomizedPopulation(const MapSpace &space, size_t n, uint64_t seed)
             m.level(static_cast<int>(rng.index(L))).order[0] = D + 3;
             break;
         case 13: // DRAM must keep every tensor
-            if (!m.level(L - 1).keep.empty())
-                m.level(L - 1).keep[0] = 0;
+            if (!m.level(L - 1).keep.empty()) {
+                m.setKeep(L - 1, 0, false,
+                          static_cast<int>(m.level(L - 1).keep.size()));
+            }
             break;
         default:
             break; // space-legal (may still exceed capacity/fanout)

@@ -103,7 +103,8 @@ TEST(Repair, PreservesFactorProducts)
             }
             m.level(0).temporal[d] = total;
         }
-        ASSERT_EQ(space.repair(m), MappingError::Ok);
+        space.repair(m);
+        ASSERT_EQ(validateMapping(wl, arch, m), MappingError::Ok);
         for (int d = 0; d < wl.numDims(); ++d)
             EXPECT_EQ(m.totalFactor(d), wl.bound(d));
     }
@@ -150,6 +151,22 @@ TEST(ScaleFrom, IncompatibleDimsFallsBackToRandom)
     const Mapping m = gemm_space.randomMapping(rng);
     const Mapping scaled = conv_space.scaleFrom(m, gemm, rng);
     EXPECT_EQ(validateMapping(conv, arch, scaled), MappingError::Ok);
+}
+
+TEST(ScaleFrom, LevelCountMismatchFallsBackToRandomMapping)
+{
+    // Store and replicated records are decoded without checking the
+    // mapping's level count against any architecture, so a warm start
+    // can hand scaleFrom a mapping with fewer levels than this space.
+    // It must not read past that mapping; it draws a random one.
+    const Workload wl = resnetConv4();
+    const ArchConfig arch = accelB();
+    MapSpace space(wl, arch);
+    Rng rng(9);
+    const Mapping shallow(1, wl.numDims());
+    const Mapping scaled = space.scaleFrom(shallow, wl, rng);
+    EXPECT_EQ(scaled.numLevels(), arch.numLevels());
+    EXPECT_EQ(validateMapping(wl, arch, scaled), MappingError::Ok);
 }
 
 TEST(MapSpaceSize, MatchesPaperOrderOfMagnitude)

@@ -42,11 +42,46 @@ TEST(Mapping, FactorColumnRoundTrip)
     Mapping m(2, 3);
     m.level(0).temporal[1] = 4;
     m.level(1).spatial[1] = 2;
-    const auto col = m.factorColumn(1);
-    EXPECT_EQ(col, (std::vector<int64_t>{4, 1, 1, 2}));
+    m.level(0).temporal[2] = 5; // another column: must not travel
     Mapping m2(2, 3);
-    m2.setFactorColumn(1, col);
-    EXPECT_EQ(m2.factorColumn(1), col);
+    m2.copyFactorColumn(1, m);
+    EXPECT_EQ(m2.level(0).temporal[1], 4);
+    EXPECT_EQ(m2.level(0).spatial[1], 1);
+    EXPECT_EQ(m2.level(1).temporal[1], 1);
+    EXPECT_EQ(m2.level(1).spatial[1], 2);
+    EXPECT_EQ(m2.level(0).temporal[2], 1);
+    EXPECT_EQ(m2.totalFactor(1), m.totalFactor(1));
+}
+
+TEST(Mapping, RowAssignmentCopiesElements)
+{
+    Mapping a(2, 3), b(2, 3);
+    b.level(1).order = {2, 0, 1};
+    a.level(1).order = b.level(1).order;
+    b.level(1).order[0] = 1; // must not show through a
+    EXPECT_EQ(a.level(1).order, (std::vector<int>{2, 0, 1}));
+    EXPECT_EQ(b.level(1).order, (std::vector<int>{1, 0, 1}));
+
+    const Mapping c = a; // copies own their buffer
+    a.level(1).order[0] = 0;
+    EXPECT_EQ(c.level(1).order, (std::vector<int>{2, 0, 1}));
+
+    EXPECT_THROW(a.level(0).order = (std::vector<int>{0, 1}),
+                 std::length_error);
+}
+
+TEST(Mapping, KeepMaskPresenceIsCopied)
+{
+    Mapping a(2, 2), b(2, 2);
+    b.setKeep(0, 1, false, 3);
+    a.level(0).keep = b.level(0).keep;
+    EXPECT_EQ(a.level(0).keep.size(), 3u);
+    EXPECT_FALSE(a.keeps(0, 1));
+    EXPECT_TRUE(a.keeps(0, 2));
+    a.level(0).keep = b.level(1).keep; // copying "no mask" clears it
+    EXPECT_TRUE(a.level(0).keep.empty());
+    EXPECT_THROW(a.setKeep(0, 0, false, Mapping::kMaxKeepTensors + 1),
+                 std::invalid_argument);
 }
 
 TEST(Mapping, SpatialProduct)
@@ -176,6 +211,19 @@ TEST(CanonicalKey, NonUnitLoopsOrderSensitive)
     a.level(1).order = {0, 1, 2, 3};
     b.level(1).order = {0, 3, 2, 1};
     EXPECT_NE(a.canonicalKey(), b.canonicalKey());
+}
+
+TEST(CanonicalKey, PinnedBytes)
+{
+    Mapping m(2, 3);
+    m.level(0).temporal = {1, 12, 1};
+    m.level(0).spatial = {2, 1, 1};
+    m.level(1).temporal = {3, 1, 1};
+    m.level(0).order = {2, 1, 0}; // unit run {2} | 1 | {0} stays put
+    m.level(1).order = {2, 1, 0}; // dims 1, 2 unit: run sorts to 1, 2
+    m.setKeep(0, 1, false, 3);
+    EXPECT_EQ(m.canonicalKey(),
+              "1.2,12.1,1.1,2;1;0;k101|3.1,1.1,1.1,1;2;0;|");
 }
 
 TEST(CanonicalKey, DifferentTilesDifferentKeys)

@@ -61,6 +61,21 @@ TEST(MappingIo, ParsesKnownGoodString)
     EXPECT_EQ(m->level(0).order, (std::vector<int>{1, 0}));
 }
 
+TEST(MappingIo, ExplicitKeepAllMaskIsPrintedAndKept)
+{
+    // An explicit all-ones mask is not the same text as no mask, even
+    // though the two mappings compare equal.
+    Mapping m(2, 1);
+    m.setKeep(0, 1, false, 3);
+    m.setKeep(0, 1, true, 3);
+    const std::string text = serializeMapping(m);
+    EXPECT_EQ(text, "v1;L=2;D=1;lvl t1 s1 o0 k1,1,1;lvl t1 s1 o0");
+    const auto parsed = parseMapping(text);
+    ASSERT_TRUE(parsed.has_value());
+    EXPECT_EQ(serializeMapping(*parsed), text);
+    EXPECT_TRUE(*parsed == Mapping(2, 1));
+}
+
 struct BadInput
 {
     const char *text;
@@ -96,7 +111,11 @@ INSTANTIATE_TEST_SUITE_P(
         BadInput{"v1;L=1;D=2;lvl t2,x s1,1 o0,1", "non-numeric"},
         BadInput{"v1;L=1;D=2;lvl s1,1 o0,1", "missing temporal"},
         BadInput{"v1;L=1;D=2;lvl t1,1 s1,1 o0,1 k2,0,1", "bad keep bit"},
-        BadInput{"v1;L=0;D=2", "no levels"}));
+        BadInput{"v1;L=0;D=2", "no levels"},
+        BadInput{"v1;L=33;D=1;lvl t1 s1 o0", "33 levels"},
+        BadInput{"v1;L=1;D=33;lvl t1 s1 o0", "33 dims"},
+        BadInput{"v1;L=2000000000;D=1", "two billion levels"},
+        BadInput{"v1;L=3x;D=1;lvl t1 s1 o0", "trailing garbage in L"}));
 
 TEST(MappingIo, ExtraLevelRejected)
 {

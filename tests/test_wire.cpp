@@ -542,6 +542,44 @@ TEST_F(WireTcpTest, MalformedJsonGetsErrorAndConnectionSurvives)
     closeSocket(fd);
 }
 
+TEST_F(WireTcpTest, HostileMappingShapeInReplicateIsSkipped)
+{
+    // A replicated record whose mapping claims two billion levels must
+    // be refused by the decoder before it allocates anything: it counts
+    // as ignored, the valid record beside it merges, and the next
+    // pipelined line on the connection is still served.
+    JsonValue hostile = entryJson(3.0);
+    hostile["mapping"] = "v1;L=2000000000;D=1";
+    JsonValue msg = JsonValue::object();
+    msg["type"] = "replicate";
+    msg["from"] = "127.0.0.1:1";
+    msg["entries"] = JsonValue::array();
+    msg["entries"].push(hostile);
+    msg["entries"].push(entryJson(5.0));
+
+    const auto req = parse(msg.dump());
+    ASSERT_TRUE(req.has_value());
+    EXPECT_EQ(req->replicate_invalid, 1u);
+    EXPECT_EQ(req->replicate_entries.size(), 1u);
+
+    const int fd = connect();
+    LineReader reader(fd);
+    const std::string burst = msg.dump() + "\n{\"type\":\"ping\"}\n";
+    ASSERT_TRUE(sendAll(fd, burst.data(), burst.size()));
+    std::string line;
+    ASSERT_EQ(reader.readLine(&line, 60000), LineReader::Status::Line);
+    const auto rep = parseJson(line);
+    ASSERT_TRUE(rep.has_value()) << line;
+    EXPECT_TRUE(rep->getBool("ok", false)) << line;
+    EXPECT_EQ(rep->getInt("merged", -1), 1);
+    EXPECT_EQ(rep->getInt("ignored", -1), 1);
+    ASSERT_EQ(reader.readLine(&line, 60000), LineReader::Status::Line);
+    const auto pong = parseJson(line);
+    ASSERT_TRUE(pong.has_value()) << line;
+    EXPECT_EQ(pong->getString("type", ""), "ping");
+    closeSocket(fd);
+}
+
 TEST_F(WireTcpTest, OversizedLineGetsErrorThenClose)
 {
     const int fd = connect();
