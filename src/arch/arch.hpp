@@ -80,6 +80,9 @@ struct BufferLevel
 /** A complete accelerator configuration. */
 struct ArchConfig
 {
+    /** Deepest hierarchy the cost model plans for (EvalPlan::build). */
+    static constexpr int kMaxLevels = 32;
+
     std::string name;
 
     /** Storage levels, index 0 = innermost (L1), back() = DRAM. */

@@ -15,21 +15,11 @@ identityPermutation(int n)
     return p;
 }
 
-std::vector<int>
-randomPermutation(int n, Rng &rng)
-{
-    auto p = identityPermutation(n);
-    rng.shuffle(p);
-    return p;
-}
-
 void
 randomPermutationInto(int64_t *perm, int n, Rng &rng)
 {
     std::iota(perm, perm + n, int64_t{0});
-    // Rng::shuffle's Fisher-Yates, draw for draw.
-    for (size_t i = static_cast<size_t>(n); i > 1; --i)
-        std::swap(perm[i - 1], perm[rng.index(i)]);
+    rng.shuffle(perm, static_cast<size_t>(n));
 }
 
 bool

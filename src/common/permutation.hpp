@@ -20,9 +20,6 @@ class Rng;
 /** The identity permutation [0, 1, ..., n-1]. */
 std::vector<int> identityPermutation(int n);
 
-/** A uniformly random permutation of [0, n). */
-std::vector<int> randomPermutation(int n, Rng &rng);
-
 /** True iff perm is a permutation of [0, perm.size()). */
 bool isPermutation(const std::vector<int> &perm);
 
@@ -44,8 +41,8 @@ isPermutation(const Range &perm)
 }
 
 /**
- * Overwrite perm[0, n) with a uniformly random permutation of [0, n),
- * drawing exactly what randomPermutation(n, rng) draws.
+ * Overwrite perm[0, n) with a uniformly random permutation of [0, n):
+ * the identity, shuffled by Rng::shuffle.
  */
 void randomPermutationInto(int64_t *perm, int n, Rng &rng);
 

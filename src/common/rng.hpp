@@ -66,14 +66,22 @@ class Rng
         return v[index(v.size())];
     }
 
-    /** Fisher-Yates shuffle. */
+    /** Fisher-Yates shuffle of first[0, n). */
+    template <typename T>
+    void
+    shuffle(T *first, size_t n)
+    {
+        for (size_t i = n; i > 1; --i) {
+            std::swap(first[i - 1], first[index(i)]);
+        }
+    }
+
+    /** Fisher-Yates shuffle of a whole vector. */
     template <typename T>
     void
     shuffle(std::vector<T> &v)
     {
-        for (size_t i = v.size(); i > 1; --i) {
-            std::swap(v[i - 1], v[index(i)]);
-        }
+        shuffle(v.data(), v.size());
     }
 
     /** Access the underlying engine (for std:: algorithms). */

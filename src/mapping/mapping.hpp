@@ -23,6 +23,7 @@
 #include <stdexcept>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "arch/arch.hpp"
@@ -214,6 +215,27 @@ class Mapping
 
     /** An all-ones mapping skeleton with identity orders. */
     Mapping(int num_levels, int num_dims);
+
+    Mapping(const Mapping &) = default;
+    Mapping &operator=(const Mapping &) = default;
+
+    /** Moving leaves the source the empty 0-level mapping. */
+    Mapping(Mapping &&other) noexcept
+        : levels_(std::exchange(other.levels_, 0)),
+          dims_(std::exchange(other.dims_, 0)), buf_(std::move(other.buf_))
+    {
+    }
+    Mapping &
+    operator=(Mapping &&other) noexcept
+    {
+        if (this != &other) {
+            levels_ = std::exchange(other.levels_, 0);
+            dims_ = std::exchange(other.dims_, 0);
+            buf_ = std::move(other.buf_);
+            other.buf_.clear();
+        }
+        return *this;
+    }
 
     int numLevels() const { return levels_; }
     int numDims() const { return dims_; }

@@ -57,14 +57,13 @@ parseList(const std::string &body, std::vector<int64_t> &out)
 }
 
 /**
- * Parse one "L=<n>" / "D=<n>" header field into out. Shapes outside
- * [1, 32] are refused before anything is allocated for them: 32 is the
- * workload dimension cap and the evaluation plan's level cap, so no
- * legal mapping is larger, and a hostile line must not make the decoder
- * allocate L*D words.
+ * Parse one "L=<n>" / "D=<n>" header field into out. Values outside
+ * [1, max] are refused before anything is allocated for them: max is
+ * the level or dimension cap, so no legal mapping is larger, and a
+ * hostile line must not make the decoder allocate L*D words.
  */
 bool
-parseShape(const std::string &token, const char *prefix, int &out)
+parseShape(const std::string &token, const char *prefix, int max, int &out)
 {
     if (token.rfind(prefix, 0) != 0)
         return false;
@@ -72,7 +71,7 @@ parseShape(const std::string &token, const char *prefix, int &out)
     const char *last = token.data() + token.size();
     const auto res = std::from_chars(first, last, out);
     return res.ec == std::errc() && res.ptr == last && out >= 1 &&
-        out <= 32;
+        out <= max;
 }
 
 } // namespace
@@ -87,11 +86,13 @@ parseMapping(const std::string &text)
 
     int num_levels = -1, num_dims = -1;
     if (!std::getline(is, token, ';') ||
-        !parseShape(token, "L=", num_levels)) {
+        !parseShape(token, "L=", ArchConfig::kMaxLevels, num_levels)) {
         return std::nullopt;
     }
-    if (!std::getline(is, token, ';') || !parseShape(token, "D=", num_dims))
+    if (!std::getline(is, token, ';') ||
+        !parseShape(token, "D=", Workload::kMaxDims, num_dims)) {
         return std::nullopt;
+    }
 
     Mapping m(num_levels, num_dims);
     int level = 0;

@@ -463,7 +463,7 @@ finishPlanned(const EvalPlan &plan, const Mapping &m, EvalScratch &s,
 EvalPlan
 EvalPlan::build(const Workload &wl, const ArchConfig &arch)
 {
-    if (arch.numLevels() > 32)
+    if (arch.numLevels() > ArchConfig::kMaxLevels)
         throw std::invalid_argument("eval plan: more than 32 levels");
     if (wl.numTensors() > 32)
         throw std::invalid_argument("eval plan: more than 32 tensors");

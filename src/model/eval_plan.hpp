@@ -92,8 +92,8 @@ struct EvalPlan
 
     /**
      * Build a plan. Throws std::invalid_argument when the shape cannot
-     * be planned (more than 32 levels; workloads are already capped at
-     * 32 dims).
+     * be planned (more than ArchConfig::kMaxLevels levels; workloads are
+     * already capped at Workload::kMaxDims dims).
      */
     static EvalPlan build(const Workload &wl, const ArchConfig &arch);
 };

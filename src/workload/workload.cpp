@@ -18,9 +18,8 @@ Workload::Workload(std::string name, std::vector<std::string> dim_names,
         if (b < 1)
             throw std::invalid_argument("workload: bounds must be >= 1");
     }
-    if (bounds_.size() > 32) {
-        // Relevance is a per-tensor uint32_t bitmask; every real DNN
-        // operator here has <= 7 loop dimensions.
+    if (bounds_.size() > static_cast<size_t>(kMaxDims)) {
+        // Every real DNN operator here has <= 7 loop dimensions.
         throw std::invalid_argument("workload: more than 32 dimensions");
     }
     buildCaches();

@@ -58,6 +58,12 @@ struct TensorSpec
 class Workload
 {
   public:
+    /**
+     * Most loop dimensions a workload may have: relevance is a per-tensor
+     * uint32_t bitmask.
+     */
+    static constexpr int kMaxDims = 32;
+
     Workload() = default;
     Workload(std::string name, std::vector<std::string> dim_names,
              std::vector<int64_t> bounds, std::vector<TensorSpec> tensors);

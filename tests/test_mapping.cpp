@@ -84,6 +84,23 @@ TEST(Mapping, KeepMaskPresenceIsCopied)
                  std::invalid_argument);
 }
 
+TEST(Mapping, MovedFromIsEmpty)
+{
+    Mapping a(2, 3);
+    a.level(1).temporal = {2, 3, 4};
+    const Mapping copy = a;
+    Mapping b(std::move(a));
+    EXPECT_EQ(b, copy);
+    EXPECT_EQ(a.numLevels(), 0);
+    EXPECT_EQ(a.numDims(), 0);
+    EXPECT_EQ(a, Mapping());
+    Mapping c(1, 1);
+    c = std::move(b);
+    EXPECT_EQ(c, copy);
+    EXPECT_EQ(b.numLevels(), 0);
+    EXPECT_EQ(b, Mapping());
+}
+
 TEST(Mapping, SpatialProduct)
 {
     Mapping m(2, 3);

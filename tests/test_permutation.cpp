@@ -6,6 +6,14 @@
 namespace mse {
 namespace {
 
+std::vector<int>
+randomOrder(int n, Rng &rng)
+{
+    std::vector<int64_t> p(static_cast<size_t>(n));
+    randomPermutationInto(p.data(), n, rng);
+    return {p.begin(), p.end()};
+}
+
 TEST(Permutation, IdentityIsPermutation)
 {
     const auto p = identityPermutation(5);
@@ -18,7 +26,17 @@ TEST(Permutation, RandomIsAlwaysValid)
     Rng rng(3);
     for (int n = 1; n <= 8; ++n) {
         for (int i = 0; i < 20; ++i)
-            EXPECT_TRUE(isPermutation(randomPermutation(n, rng)));
+            EXPECT_TRUE(isPermutation(randomOrder(n, rng)));
+    }
+}
+
+TEST(Permutation, RandomIsTheShuffledIdentity)
+{
+    Rng a(5), b(5);
+    for (int n = 1; n <= 8; ++n) {
+        auto expect = identityPermutation(n);
+        b.shuffle(expect);
+        EXPECT_EQ(randomOrder(n, a), expect);
     }
 }
 
@@ -61,7 +79,7 @@ TEST(PermutationRank, RoundTripSampledN7)
 {
     Rng rng(11);
     for (int i = 0; i < 200; ++i) {
-        const auto p = randomPermutation(7, rng);
+        const auto p = randomOrder(7, rng);
         EXPECT_EQ(permutationFromRank(7, permutationRank(p)), p);
     }
 }
