@@ -17,18 +17,32 @@
  *
  * then re-run the suite and commit the new file alongside the change
  * that justifies it.
+ *
+ * tests/data/golden_search_traces.txt pins whole searches: for every
+ * mapper (Gamma cold and warm-started through scaleFrom, StandardGA,
+ * Random-Pruned, annealing, hill climbing, and sparse Gamma) on two zoo
+ * layers x Accel-A/B at fixed seeds, the best mapping, the best EDP at
+ * %.17g and a hash of the per-sample convergence curve; plus the first
+ * 64 values of every Rng sampler for three seeds. Any change to an RNG
+ * draw, a repair or a mapper's control flow moves these lines, so a
+ * change that claims to keep every draw is checked here. The same
+ * MSE_REGEN_GOLDEN=1 run regenerates this fixture too.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/mse_engine.hpp"
+#include "mappers/gamma.hpp"
 #include "mapping/mapping_io.hpp"
 #include "model/cost_model.hpp"
 #include "test_helpers.hpp"
@@ -41,6 +55,12 @@ std::string
 fixturePath()
 {
     return std::string(MSE_TEST_DATA_DIR) + "/golden_cost_traces.txt";
+}
+
+std::string
+searchFixturePath()
+{
+    return std::string(MSE_TEST_DATA_DIR) + "/golden_search_traces.txt";
 }
 
 /** Exact decimal rendering that round-trips IEEE-754 doubles. */
@@ -223,6 +243,166 @@ TEST(GoldenTraces, FixtureMappingsStayPinnedToGenerationSeeds)
     EXPECT_EQ(matching, goldenCases().size())
         << "random mapping generation drifted; golden mappings remain "
            "valid but no longer match their generation seeds";
+}
+
+/** FNV-1a over the bit patterns of a curve's doubles, as 16 hex digits. */
+std::string
+curveHash(const std::vector<double> &curve)
+{
+    uint64_t h = 0xcbf29ce484222325ULL;
+    for (double v : curve) {
+        uint64_t bits;
+        std::memcpy(&bits, &v, sizeof(bits));
+        for (int i = 0; i < 8; ++i) {
+            h ^= (bits >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ULL;
+        }
+    }
+    char buf[20];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(h));
+    return buf;
+}
+
+/** The three lines a search contributes to the search fixture. */
+std::vector<std::string>
+searchLines(const std::string &name, const SearchResult &r)
+{
+    return {"search " + name,
+            "mapping " + serializeMapping(r.best_mapping),
+            "edp " + g17(r.best_cost.edp),
+            "curve " + curveHash(r.log.best_edp_per_sample) + " " +
+                std::to_string(r.log.best_edp_per_sample.size())};
+}
+
+/** Every pinned search, rendered as fixture lines. */
+std::vector<std::string>
+renderSearchTraces()
+{
+    struct Layer
+    {
+        std::string name;
+        Workload wl;
+        Workload warm_source; ///< Replay entry the warm run scales from.
+    };
+    const std::vector<Layer> layers = {
+        {"resnet_conv4", resnetConv4(), resnetConv3()},
+        {"bert_kqv", bertKqv(), bertFc()},
+    };
+    const std::vector<std::pair<std::string, ArchConfig>> archs = {
+        {"accelA", accelA()}, {"accelB", accelB()}};
+    const std::vector<std::string> mappers = {
+        "gamma", "standard-ga", "random-pruned", "annealing", "hill-climb"};
+
+    std::vector<std::string> lines;
+    const auto add = [&](const std::string &name, const SearchResult &r) {
+        for (auto &line : searchLines(name, r))
+            lines.push_back(std::move(line));
+    };
+    uint64_t seed = 100;
+    for (const auto &layer : layers) {
+        for (const auto &[arch_name, arch] : archs) {
+            const std::string where = layer.name + "_" + arch_name;
+            MseOptions opts;
+            opts.budget.max_samples = 600;
+            opts.update_replay = false;
+            for (const auto &mapper_name : mappers) {
+                MseEngine engine(arch);
+                const auto mapper = makeMapperFactory(mapper_name)();
+                Rng rng(++seed);
+                add(where + "_" + mapper_name,
+                    engine.optimize(layer.wl, *mapper, opts, rng).search);
+            }
+            {
+                // Warm start: optimize the source layer into the replay
+                // buffer, then seed the target search from it (scaleFrom).
+                MseEngine engine(arch);
+                GammaMapper cold, warm;
+                Rng rng(++seed);
+                MseOptions src_opts = opts;
+                src_opts.update_replay = true;
+                engine.optimize(layer.warm_source, cold, src_opts, rng);
+                MseOptions warm_opts = opts;
+                warm_opts.warm_start = WarmStartStrategy::BySimilarity;
+                add(where + "_gamma-warm",
+                    engine.optimize(layer.wl, warm, warm_opts, rng).search);
+            }
+            {
+                MseEngine engine(arch);
+                GammaMapper gamma;
+                Workload sparse_wl = layer.wl;
+                applyDensities(sparse_wl, 0.1, 0.5);
+                MseOptions sparse_opts = opts;
+                sparse_opts.sparse = true;
+                Rng rng(++seed);
+                add(where + "_gamma-sparse",
+                    engine.optimize(sparse_wl, gamma, sparse_opts, rng)
+                        .search);
+            }
+        }
+    }
+
+    // The first 64 values of every sampler, for three seeds.
+    const auto row = [&](uint64_t s, const std::string &sampler,
+                         const auto &draw) {
+        Rng rng(s);
+        std::string line = "rng " + std::to_string(s) + " " + sampler;
+        for (int i = 0; i < 64; ++i)
+            line.append(" ").append(draw(rng));
+        lines.push_back(line);
+    };
+    const auto i64 = [](int64_t v) { return std::to_string(v); };
+    for (uint64_t s : {uint64_t{1}, uint64_t{0x5eed}, uint64_t{1} << 40}) {
+        row(s, "uniformInt(0,1)",
+            [&](Rng &r) { return i64(r.uniformInt(0, 1)); });
+        row(s, "uniformInt(-7,1000)",
+            [&](Rng &r) { return i64(r.uniformInt(-7, 1000)); });
+        row(s, "uniformInt(min,max)", [&](Rng &r) {
+            return i64(r.uniformInt(std::numeric_limits<int64_t>::min(),
+                                    std::numeric_limits<int64_t>::max()));
+        });
+        row(s, "index(7)",
+            [&](Rng &r) { return std::to_string(r.index(7)); });
+        row(s, "index(2^62+1)", [&](Rng &r) {
+            return std::to_string(r.index((size_t{1} << 62) + 1));
+        });
+        row(s, "uniformReal(0,1)",
+            [&](Rng &r) { return g17(r.uniformReal()); });
+        row(s, "uniformReal(-2.5,7)",
+            [&](Rng &r) { return g17(r.uniformReal(-2.5, 7.0)); });
+        row(s, "chance(0.3)",
+            [&](Rng &r) { return std::string(r.chance(0.3) ? "1" : "0"); });
+        row(s, "gaussian(2,3)",
+            [&](Rng &r) { return g17(r.gaussian(2.0, 3.0)); });
+    }
+    return lines;
+}
+
+TEST(GoldenTraces, SearchesMatchPinnedFixture)
+{
+    const std::vector<std::string> actual = renderSearchTraces();
+    if (std::getenv("MSE_REGEN_GOLDEN")) {
+        std::ofstream out(searchFixturePath());
+        ASSERT_TRUE(out.good()) << "cannot write " << searchFixturePath();
+        out << "# Golden search traces (v1). Regenerate with\n"
+               "#   MSE_REGEN_GOLDEN=1 ./build/tests/test_golden_traces\n"
+               "# Lines: search/mapping/edp/curve <fnv1a> <samples>;\n"
+               "#        rng <seed> <sampler> <first 64 values>\n";
+        for (const auto &line : actual)
+            out << line << "\n";
+        GTEST_SKIP() << "fixture regenerated at " << searchFixturePath();
+    }
+    std::ifstream in(searchFixturePath());
+    ASSERT_TRUE(in.good()) << "missing fixture " << searchFixturePath();
+    std::vector<std::string> expected;
+    std::string line;
+    while (std::getline(in, line)) {
+        if (!line.empty() && line[0] != '#')
+            expected.push_back(line);
+    }
+    ASSERT_EQ(actual.size(), expected.size());
+    for (size_t i = 0; i < actual.size(); ++i)
+        EXPECT_EQ(actual[i], expected[i]) << "fixture line " << i;
 }
 
 } // namespace
