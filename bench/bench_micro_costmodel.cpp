@@ -90,6 +90,27 @@ BM_SparseCostModel(benchmark::State &state)
 BENCHMARK(BM_SparseCostModel);
 
 void
+BM_RngChance(benchmark::State &state)
+{
+    // StandardGA's per-gene mutation draw.
+    Rng rng(8);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(rng.chance(0.1));
+}
+BENCHMARK(BM_RngChance);
+
+void
+BM_RngIndex(benchmark::State &state)
+{
+    // The divisor pick of a random factorization (resnet_conv4's C=256
+    // has 9 divisors).
+    Rng rng(9);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(rng.index(9));
+}
+BENCHMARK(BM_RngIndex);
+
+void
 BM_RandomMappingGeneration(benchmark::State &state)
 {
     MapSpace space(resnetConv4(), accelB());
@@ -196,6 +217,27 @@ BM_EndToEndGammaSearch(benchmark::State &state)
                             500);
 }
 BENCHMARK(BM_EndToEndGammaSearch)->Unit(benchmark::kMillisecond);
+
+void
+BM_RandomPrunedSearch(benchmark::State &state)
+{
+    // A cold Random-Pruned request as the daemon serves it: 2000 draws,
+    // dedupe and planned evaluation through MseEngine::optimize.
+    const Workload wl = resnetConv4();
+    MseEngine engine(accelB());
+    MseOptions opts;
+    opts.budget.max_samples = 2000;
+    opts.update_replay = false;
+    uint64_t seed = 0;
+    for (auto _ : state) {
+        RandomPrunedMapper mapper;
+        Rng rng(seed++);
+        benchmark::DoNotOptimize(engine.optimize(wl, mapper, opts, rng));
+    }
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                            2000);
+}
+BENCHMARK(BM_RandomPrunedSearch)->Unit(benchmark::kMillisecond);
 
 /** Mapping with every loop at the outermost level (the store does not
  *  care whether it is good, only that it round-trips). */

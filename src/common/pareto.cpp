@@ -19,29 +19,43 @@ paretoRanks(const std::vector<ObjectivePoint> &points)
     // that dominates another is lexicographically smaller, so every
     // point's dominators are ranked before it. Costs are never NaN;
     // points with a NaN coordinate still sort (last, as one tie class)
-    // so the comparator stays a strict weak order.
-    std::vector<size_t> order(n);
-    for (size_t i = 0; i < n; ++i)
-        order[i] = i;
-    const auto hasNan = [&](size_t i) {
-        return std::isnan(points[i][0]) || std::isnan(points[i][1]);
+    // so the comparator stays a strict weak order. Sorting the points
+    // themselves, NaN test done once, takes the same comparisons, and
+    // so yields the same order, as sorting their indices would.
+    struct Entry
+    {
+        ObjectivePoint p;
+        bool nan;
+        int rank;
+        size_t index;
     };
-    std::sort(order.begin(), order.end(), [&](size_t x, size_t y) {
-        const bool nx = hasNan(x), ny = hasNan(y);
-        if (nx || ny)
-            return !nx && ny;
-        const ObjectivePoint &a = points[x], &b = points[y];
-        return a[0] < b[0] || (a[0] == b[0] && a[1] < b[1]);
-    });
-    std::vector<int> rank(n, 0);
-    for (size_t i = 1; i < n; ++i) {
-        const ObjectivePoint &p = points[order[i]];
+    std::vector<Entry> sorted(n);
+    for (size_t i = 0; i < n; ++i) {
+        const ObjectivePoint &p = points[i];
+        sorted[i] = {p, std::isnan(p[0]) || std::isnan(p[1]), 0, i};
+    }
+    std::sort(sorted.begin(), sorted.end(),
+              [](const Entry &x, const Entry &y) {
+                  if (x.nan || y.nan)
+                      return !x.nan && y.nan;
+                  return x.p[0] < y.p[0] ||
+                      (x.p[0] == y.p[0] && x.p[1] < y.p[1]);
+              });
+    std::vector<int> rank(n);
+    for (size_t i = 0; i < n; ++i) {
+        // One more than the highest-ranked dominator. dominates() is
+        // spelled out in integer arithmetic so the pass does not branch
+        // on each pair, which mispredicts on a fresh population.
+        const ObjectivePoint &p = sorted[i].p;
         int r = 0;
         for (size_t j = 0; j < i; ++j) {
-            if (rank[order[j]] >= r && dominates(points[order[j]], p))
-                r = rank[order[j]] + 1;
+            const ObjectivePoint &q = sorted[j].p;
+            const int above = (q[0] > p[0]) | (q[1] > p[1]);
+            const int below = (q[0] < p[0]) | (q[1] < p[1]);
+            r = std::max(r, (sorted[j].rank + 1) & -(below & ~above));
         }
-        rank[order[i]] = r;
+        sorted[i].rank = r;
+        rank[sorted[i].index] = r;
     }
     return rank;
 }

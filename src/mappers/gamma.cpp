@@ -99,19 +99,19 @@ GammaMapper::mutateBypass(const MapSpace &space, Mapping &m, Rng &rng)
 Mapping
 GammaMapper::crossover(const Mapping &a, const Mapping &b, Rng &rng)
 {
+    // Each coin flip indexes the parent to copy from instead of
+    // branching on it: a branch on a fair coin mispredicts half the time.
+    const Mapping *parents[2] = {&a, &b};
     Mapping child = a;
     // Whole per-dimension factor columns from either parent keep each
     // dimension's factor product intact.
-    for (int d = 0; d < child.numDims(); ++d) {
-        if (rng.chance(0.5))
-            child.copyFactorColumn(d, b);
-    }
+    for (int d = 0; d < child.numDims(); ++d)
+        child.copyFactorColumn(d, *parents[rng.chance(0.5)]);
     // Orders and bypass directives travel together per level.
     for (int l = 0; l < child.numLevels(); ++l) {
-        if (rng.chance(0.5)) {
-            child.level(l).order = b.level(l).order;
-            child.level(l).keep = b.level(l).keep;
-        }
+        const Mapping &src = *parents[rng.chance(0.5)];
+        child.level(l).order = src.level(l).order;
+        child.level(l).keep = src.level(l).keep;
     }
     return child;
 }

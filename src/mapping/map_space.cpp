@@ -11,27 +11,15 @@ namespace mse {
 
 namespace {
 
-/** Smallest prime factor of n (n >= 2). */
+/** Smallest prime factor of n >= 2, by trial division. */
 int64_t
-smallestPrimeFactor(int64_t n)
+trialSmallestPrime(int64_t n)
 {
     for (int64_t p = 2; p * p <= n; ++p) {
         if (n % p == 0)
             return p;
     }
     return n;
-}
-
-/** Total resident words at level l, compressed per tensor density. */
-double
-residentWords(const Workload &wl, const Mapping &m, int l)
-{
-    double sum = 0.0;
-    for (int t = 0; t < wl.numTensors(); ++t) {
-        if (m.keeps(l, t))
-            sum += tileFootprint(wl, m, t, l) * wl.tensor(t).density;
-    }
-    return sum;
 }
 
 } // namespace
@@ -45,24 +33,123 @@ MapSpace::MapSpace(Workload wl, ArchConfig arch)
         if (arch_.levels[l].fanout > 1)
             spatial_levels_.push_back(l);
     }
+
     // Divisor closure: any factor value a mapper can produce is a
-    // divisor of some bound, and divisors of divisors are divisors.
+    // divisor of some bound, and divisors of divisors are divisors, so
+    // the divisors of a closure value are the closure values dividing
+    // it.
     for (int64_t b : wl_.bounds()) {
-        for (int64_t d : divisorsOf(b)) {
-            if (!divisor_cache_.count(d))
-                divisor_cache_.emplace(d, divisorsOf(d));
+        const std::vector<int64_t> divs = divisorsOf(b);
+        closure_.insert(closure_.end(), divs.begin(), divs.end());
+    }
+    std::sort(closure_.begin(), closure_.end());
+    closure_.erase(std::unique(closure_.begin(), closure_.end()),
+                   closure_.end());
+    int bits = 4;
+    while ((size_t{1} << bits) < 2 * closure_.size())
+        ++bits;
+    index_shift_ = 64 - bits;
+    index_.assign(size_t{1} << bits, IndexSlot{0, -1});
+    for (size_t i = 0; i < closure_.size(); ++i) {
+        size_t s = indexSlot(closure_[i]);
+        while (index_[s].pos >= 0)
+            s = (s + 1) & (index_.size() - 1);
+        index_[s] = {closure_[i], static_cast<int>(i)};
+    }
+    div_begin_.push_back(0);
+    for (size_t i = 0; i < closure_.size(); ++i) {
+        for (size_t j = 0; j <= i; ++j) {
+            if (closure_[i] % closure_[j] != 0)
+                continue;
+            const int q = closureIndex(closure_[i] / closure_[j]);
+            div_values_.push_back(closure_[j]);
+            div_quotient_.push_back(static_cast<uint32_t>(q));
         }
+        div_begin_.push_back(static_cast<uint32_t>(div_values_.size()));
+    }
+    for (int64_t b : wl_.bounds())
+        bound_index_.push_back(static_cast<uint32_t>(closureIndex(b)));
+
+    rank_begin_.push_back(0);
+    tensor_begin_.push_back(0);
+    for (const TensorSpec &spec : wl_.tensors()) {
+        for (const CompositeDim &rank : spec.projection) {
+            for (const DimTerm &term : rank)
+                terms_.push_back({term.dim, term.coeff});
+            rank_begin_.push_back(static_cast<uint32_t>(terms_.size()));
+        }
+        tensor_begin_.push_back(
+            static_cast<uint32_t>(rank_begin_.size() - 1));
+        densities_.push_back(spec.density);
     }
 }
 
-const std::vector<int64_t> &
+size_t
+MapSpace::indexSlot(int64_t n) const
+{
+    return static_cast<size_t>(
+        (static_cast<uint64_t>(n) * 0x9e3779b97f4a7c15ULL) >> index_shift_);
+}
+
+int
+MapSpace::closureIndex(int64_t n) const
+{
+    for (size_t s = indexSlot(n);; s = (s + 1) & (index_.size() - 1)) {
+        const IndexSlot &slot = index_[s];
+        if (slot.pos < 0 || slot.value == n)
+            return slot.pos;
+    }
+}
+
+std::span<const int64_t>
 MapSpace::divisors(int64_t n) const
 {
-    const auto it = divisor_cache_.find(n);
-    if (it != divisor_cache_.end())
-        return it->second;
-    // Rare fallback (values outside the closure): compute and memoize.
-    return divisor_cache_.emplace(n, divisorsOf(n)).first->second;
+    const int i = closureIndex(n);
+    if (i >= 0) {
+        return {div_values_.data() + div_begin_[i],
+                div_begin_[i + 1] - div_begin_[i]};
+    }
+    static thread_local std::vector<int64_t> other;
+    other = divisorsOf(n);
+    return other;
+}
+
+int64_t
+MapSpace::divideSmallestPrime(int64_t &v) const
+{
+    // Divisors ascend, so a closure value's second divisor is its
+    // smallest prime factor, and the table holds the quotient's position.
+    const int i = closureIndex(v);
+    if (i >= 0) {
+        const uint32_t k = div_begin_[i] + 1;
+        v = closure_[div_quotient_[k]];
+        return div_values_[k];
+    }
+    const int64_t p = trialSmallestPrime(v);
+    v /= p;
+    return p;
+}
+
+double
+MapSpace::residentWords(const Mapping &m, int l, const int64_t *cum) const
+{
+    // The same double operations, in the same order, as summing
+    // tileFootprint(wl_, m, t, l) * density over the kept tensors, so
+    // every capacity verdict matches validateMapping's.
+    double sum = 0.0;
+    for (int t = 0; t < wl_.numTensors(); ++t) {
+        if (!m.keeps(l, t))
+            continue;
+        double p = 1.0;
+        for (uint32_t r = tensor_begin_[t]; r < tensor_begin_[t + 1]; ++r) {
+            int64_t extent = 1;
+            for (uint32_t k = rank_begin_[r]; k < rank_begin_[r + 1]; ++k)
+                extent += terms_[k].coeff * (cum[terms_[k].dim] - 1);
+            p *= static_cast<double>(extent);
+        }
+        sum += p * densities_[t];
+    }
+    return sum;
 }
 
 void
@@ -81,9 +168,8 @@ MapSpace::repairFanout(Mapping &m) const
                     best = d;
                 }
             }
-            const int64_t p = smallestPrimeFactor(m.level(l).spatial[best]);
-            m.level(l).spatial[best] /= p;
-            m.level(l).temporal[best] *= p;
+            m.level(l).temporal[best] *=
+                divideSmallestPrime(m.level(l).spatial[best]);
         }
     }
 }
@@ -91,19 +177,24 @@ MapSpace::repairFanout(Mapping &m) const
 void
 MapSpace::repairCapacity(Mapping &m) const
 {
+    // cum[d] is dim d's extent inside the tile held at level l (its
+    // cumulativeFactor), kept current across the moves below.
+    int64_t cum[Workload::kMaxDims];
+    std::fill_n(cum, numDims(), int64_t{1});
     for (int l = 0; l < numLevels() - 1; ++l) {
+        for (int d = 0; d < numDims(); ++d)
+            cum[d] *= m.level(l).temporal[d] * m.level(l).spatial[d];
         const int64_t cap = arch_.levels[l].capacity_words;
         if (cap <= 0)
             continue;
-        while (residentWords(wl_, m, l) > static_cast<double>(cap)) {
+        while (residentWords(m, l, cum) > static_cast<double>(cap)) {
             // Pick the dimension with the largest extent inside this tile
             // and migrate one prime factor of it up to the parent level.
             int best_dim = -1;
             int64_t best_cum = 1;
             for (int d = 0; d < numDims(); ++d) {
-                const int64_t cum = m.cumulativeFactor(l, d);
-                if (cum > best_cum) {
-                    best_cum = cum;
+                if (cum[d] > best_cum) {
+                    best_cum = cum[d];
                     best_dim = d;
                 }
             }
@@ -118,9 +209,9 @@ MapSpace::repairCapacity(Mapping &m) const
                 else if (m.level(ll).spatial[best_dim] > 1)
                     slot = &m.level(ll).spatial[best_dim];
             }
-            const int64_t p = smallestPrimeFactor(*slot);
-            *slot /= p;
+            const int64_t p = divideSmallestPrime(*slot);
             m.level(l + 1).temporal[best_dim] *= p;
+            cum[best_dim] /= p;
         }
     }
 }
@@ -149,14 +240,15 @@ MapSpace::randomMapping(Rng &rng) const
                      : m.level(spatial_levels_[i - L]).spatial[d];
     };
     for (int d = 0; d < D; ++d) {
-        int64_t rem = wl_.bound(d);
+        uint32_t rem = bound_index_[d]; // closure position of the rest
         for (int i = 0; i < slots - 1; ++i) {
-            const auto &divs = divisors(rem);
-            const int64_t f = divs[rng.index(divs.size())];
-            slot(i, d) = f;
-            rem /= f;
+            const uint32_t first = div_begin_[rem];
+            const uint32_t k = first +
+                static_cast<uint32_t>(rng.index(div_begin_[rem + 1] - first));
+            slot(i, d) = div_values_[k];
+            rem = div_quotient_[k];
         }
-        slot(slots - 1, d) = rem;
+        slot(slots - 1, d) = closure_[rem];
     }
 
     for (int l = 0; l < L; ++l)

@@ -11,7 +11,7 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "arch/arch.hpp"
@@ -100,18 +100,72 @@ class MapSpace
     MapSpaceSize size() const;
 
     /**
-     * Divisors of n, served from a cache precomputed over every divisor
-     * of every workload bound (the closure of all factor values mappers
-     * ever handle). Falls back to direct computation for other values.
+     * Divisors of n, ascending, served from flat tables precomputed over
+     * every divisor of every workload bound (the closure of all factor
+     * values mappers ever handle). Other values (factors of a foreign
+     * mapping) are computed per call into a thread-local buffer, valid
+     * until this thread's next such call.
      */
-    const std::vector<int64_t> &divisors(int64_t n) const;
+    std::span<const int64_t> divisors(int64_t n) const;
 
   private:
+    /** Position of n in closure_, or -1 when n lies outside it. */
+    int closureIndex(int64_t n) const;
+
+    /** Home slot of n in index_ (Fibonacci hashing). */
+    size_t indexSlot(int64_t n) const;
+
+    /** Divide v >= 2 by its smallest prime factor; returns that prime. */
+    int64_t divideSmallestPrime(int64_t &v) const;
+
+    /**
+     * Compressed words resident at level l (capacity_words' unit) when
+     * cum[d] is the extent of dim d in that level's tile: kept tensors'
+     * dense footprints times their densities, summed in tensor order.
+     */
+    double residentWords(const Mapping &m, int l, const int64_t *cum) const;
+
+    /** One term coeff * dim of a flattened tensor projection. */
+    struct ProjTerm
+    {
+        int dim;
+        int coeff;
+    };
+
     Workload wl_;
     ArchConfig arch_;
     std::vector<int> spatial_levels_;
-    mutable std::unordered_map<int64_t, std::vector<int64_t>>
-        divisor_cache_;
+
+    // The divisor closure, ascending. Divisors of closure_[i] are
+    // div_values_[div_begin_[i] .. div_begin_[i + 1]), ascending, and
+    // div_quotient_[k] is the closure position of closure_[i] /
+    // div_values_[k], so a factorization walks the tables without
+    // searching. bound_index_[d] is the position of bound(d).
+    std::vector<int64_t> closure_;
+    std::vector<uint32_t> div_begin_;
+    std::vector<int64_t> div_values_;
+    std::vector<uint32_t> div_quotient_;
+    std::vector<uint32_t> bound_index_;
+
+    // closureIndex's open-addressing table, value -> position in
+    // closure_: a power of two of slots, at most half full, pos -1 on a
+    // free slot. A lookup is one multiply and usually one probe, where a
+    // binary search over closure_ mispredicts its way down.
+    struct IndexSlot
+    {
+        int64_t value;
+        int pos;
+    };
+    std::vector<IndexSlot> index_;
+    int index_shift_ = 64;
+
+    // Tensor projections, flattened: tensor t's ranks are
+    // [tensor_begin_[t], tensor_begin_[t + 1]), rank r's terms are
+    // terms_[rank_begin_[r] .. rank_begin_[r + 1]).
+    std::vector<ProjTerm> terms_;
+    std::vector<uint32_t> rank_begin_;
+    std::vector<uint32_t> tensor_begin_;
+    std::vector<double> densities_;
 };
 
 } // namespace mse

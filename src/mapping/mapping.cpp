@@ -94,24 +94,34 @@ Mapping::setKeepMask(int l, const std::vector<uint8_t> &mask)
 namespace {
 
 /**
- * Order with runs of unit-temporal loops sorted, so that permutations
- * among them collapse to one canonical order. Writes into a
- * caller-provided buffer to keep operator== allocation-free (its
- * buffers are thread_local because it runs on eval-pool workers).
+ * Sort, in place, each run of loops with temporal factor 1 in `order`
+ * (D dim indices, outermost first), so that permutations among them
+ * collapse to one canonical order.
+ */
+void
+canonicalizeOrder(const int64_t *temporal, int64_t *order, size_t D)
+{
+    size_t i = 0;
+    while (i < D) {
+        size_t j = i;
+        while (j < D && temporal[order[j]] == 1)
+            ++j;
+        if (j > i)
+            std::sort(order + i, order + j);
+        i = std::max(j, i + 1);
+    }
+}
+
+/**
+ * A level's canonical order, written into a caller-provided buffer to
+ * keep operator== allocation-free (its buffers are thread_local because
+ * it runs on eval-pool workers).
  */
 void
 canonicalOrderInto(const ConstLevelMapping &lvl, std::vector<int64_t> &canon)
 {
     canon.assign(lvl.order.begin(), lvl.order.end());
-    size_t i = 0;
-    while (i < canon.size()) {
-        size_t j = i;
-        while (j < canon.size() && lvl.temporal[canon[j]] == 1)
-            ++j;
-        if (j > i)
-            std::sort(canon.begin() + i, canon.begin() + j);
-        i = std::max(j, i + 1);
-    }
+    canonicalizeOrder(lvl.temporal.data(), canon.data(), canon.size());
 }
 
 /** Append the decimal digits of v to out. */
@@ -152,6 +162,17 @@ Mapping::canonicalKey() const
         key += '|';
     }
     return key;
+}
+
+void
+Mapping::canonicalWordsInto(std::vector<int64_t> &out) const
+{
+    out.assign(buf_.begin(), buf_.end());
+    for (int l = 0; l < levels_; ++l) {
+        canonicalizeOrder(out.data() + rowOffset(kTemporal, l),
+                          out.data() + rowOffset(kOrder, l),
+                          static_cast<size_t>(dims_));
+    }
 }
 
 bool

@@ -301,6 +301,15 @@ class Mapping
     std::string canonicalKey() const;
 
     /**
+     * The buffer's words with every level's order canonicalized as in
+     * canonicalKey (runs of unit-temporal loops sorted), written to
+     * `out`. For mappings of one shape the words are equal exactly when
+     * the canonicalKey strings are; a digest of them is a cheap dedupe
+     * key (RandomPruned).
+     */
+    void canonicalWordsInto(std::vector<int64_t> &out) const;
+
+    /**
      * Canonical equality: two mappings that are equal up to (a)
      * permutations within runs of unit-factor loops and (b) an explicit
      * keep-everything mask vs. an empty one compare equal. Equal mappings

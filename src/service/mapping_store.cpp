@@ -99,8 +99,16 @@ MappingStore::decodeEntryJson(const JsonValue &doc)
     if (!wl)
         return std::nullopt;
     const auto mapping = parseMapping(doc.getString("mapping", ""));
-    if (!mapping)
+    if (!mapping || mapping->numDims() != wl->numDims())
         return std::nullopt;
+    // A mapping must fit its own workload. Its level count belongs to
+    // the architecture, which a record names only by signature, so
+    // scaleFrom checks that where the record is used.
+    for (int l = 0; l < mapping->numLevels(); ++l) {
+        if (mapping->level(l).keep.size() >
+            static_cast<size_t>(wl->numTensors()))
+            return std::nullopt;
+    }
     const std::string model = doc.getString("model", "dense");
     if (model != "dense" && model != "sparse")
         return std::nullopt;

@@ -191,7 +191,11 @@ class MappingStore
     static std::string encodeEntry(const StoreEntry &e);
     static std::optional<StoreEntry> decodeEntry(const std::string &line);
 
-    /** Record as a JSON object (the wire `replicate` payload unit). */
+    /**
+     * Record as a JSON object (the wire `replicate` payload unit). The
+     * decoder refuses a record whose mapping's dim count differs from
+     * its workload's or whose keep mask is longer than its tensor count.
+     */
     static JsonValue encodeEntryJson(const StoreEntry &e);
     static std::optional<StoreEntry> decodeEntryJson(const JsonValue &doc);
 

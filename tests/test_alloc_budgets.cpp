@@ -116,6 +116,34 @@ TEST_F(AllocBudget, GammaChildAtMostOne)
     }
 }
 
+TEST_F(AllocBudget, RandomMappingAtMostOne)
+{
+    // The draws walk flat divisor tables and the repair keeps its
+    // cumulative factors on the stack: only the Mapping's buffer.
+    for (int i = 0; i < 128; ++i) {
+        const size_t n = allocationsOf([&] {
+            const Mapping m = space_.randomMapping(rng_);
+            EXPECT_EQ(m.numLevels(), space_.numLevels());
+        });
+        EXPECT_LE(n, 1u) << "draw " << i;
+    }
+}
+
+TEST_F(AllocBudget, ScaleFromAtMostOne)
+{
+    // A warm-start re-scale: conv3 mappings onto conv4's map space.
+    const Workload source = resnetConv3();
+    MapSpace source_space(source, accelB());
+    for (int i = 0; i < 128; ++i) {
+        const Mapping seed = source_space.randomMapping(rng_);
+        const size_t n = allocationsOf([&] {
+            const Mapping m = space_.scaleFrom(seed, source, rng_);
+            EXPECT_EQ(m.numLevels(), space_.numLevels());
+        });
+        EXPECT_LE(n, 1u) << "seed " << i;
+    }
+}
+
 TEST_F(AllocBudget, SteadyStatePlannedEvaluationAllocatesNothing)
 {
     const EvalPlan plan =

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <unordered_set>
+
 #include "common/permutation.hpp"
 #include "mappers/gamma.hpp"
 #include "mappers/order_sweep.hpp"
@@ -67,6 +69,42 @@ TEST(RandomPruned, DedupeSavesBudgetOnTinySpaces)
     // The tiny space has far fewer canonical mappings than the budget.
     EXPECT_LT(r.log.samples, 5000u);
     EXPECT_TRUE(r.found());
+}
+
+TEST(CanonicalMappingSet, VerdictsMatchCanonicalKeyStrings)
+{
+    // A tiny space (many exact duplicates) plus, for each draw, variants
+    // that permute unit-factor loops (canonically equal), add an explicit
+    // keep-everything mask or a bypass (canonicalKey tells those apart),
+    // or swap two orders outright.
+    const Workload wl = test::tinyConv();
+    const ArchConfig arch = test::miniNpu();
+    MapSpace space(wl, arch);
+    Rng rng(17);
+    CanonicalMappingSet set;
+    std::unordered_set<std::string> keys;
+    size_t checked = 0, duplicates = 0;
+    const auto check = [&](const Mapping &m) {
+        const bool fresh = keys.insert(m.canonicalKey()).second;
+        ASSERT_EQ(set.insert(m), fresh) << m.canonicalKey();
+        duplicates += !fresh;
+        ++checked;
+    };
+    for (int i = 0; i < 4000; ++i) {
+        const Mapping m = space.randomMapping(rng);
+        check(m);
+        Mapping v = m;
+        const int l = static_cast<int>(rng.index(v.numLevels()));
+        rng.shuffle(v.level(l).order.data(), v.numDims());
+        check(v);
+        Mapping k = m;
+        const int kl = static_cast<int>(rng.index(k.numLevels() - 1));
+        k.setKeep(kl, static_cast<int>(rng.index(wl.numTensors())),
+                  rng.chance(0.5), wl.numTensors());
+        check(k);
+    }
+    EXPECT_EQ(set.size(), keys.size());
+    EXPECT_GT(duplicates, checked / 40); // the duplicate path runs
 }
 
 TEST(GammaOperators, MutateTilePreservesProducts)

@@ -254,6 +254,41 @@ TEST(MappingStore, CorruptedMiddleLineSkippedRestKept)
     std::remove(path.c_str());
 }
 
+TEST(MappingStore, RecordsWhoseMappingDoesNotFitTheirWorkloadAreSkipped)
+{
+    // One record per shape fault: a mapping with another dim count, and
+    // a keep mask longer than the workload's tensor count. Both count as
+    // malformed lines; the valid record beside them loads.
+    const std::string path = tempStorePath("shape");
+    std::remove(path.c_str());
+    const ArchConfig arch = miniNpu();
+    const Workload wl = tinyGemm();
+    StoreEntry e;
+    e.workload = wl;
+    e.arch_sig = fnv1a64Hex(arch.signature());
+    e.objective = Objective::Edp;
+    e.score = 5.0;
+    e.mapping = Mapping(arch.numLevels(), wl.numDims() - 1);
+    const std::string wrong_dims = MappingStore::encodeEntry(e);
+    e.mapping = topMapping(wl, arch);
+    e.mapping.setKeepMask(0, std::vector<uint8_t>(
+                                 static_cast<size_t>(wl.numTensors()) + 1, 1));
+    const std::string long_mask = MappingStore::encodeEntry(e);
+    EXPECT_FALSE(MappingStore::decodeEntry(wrong_dims).has_value());
+    EXPECT_FALSE(MappingStore::decodeEntry(long_mask).has_value());
+    e.mapping = topMapping(wl, arch);
+    const std::string valid = MappingStore::encodeEntry(e);
+    ASSERT_TRUE(MappingStore::decodeEntry(valid).has_value());
+
+    spit(path, wrong_dims + "\n" + long_mask + "\n" + valid + "\n");
+    MappingStore store(path);
+    EXPECT_EQ(store.size(), 1u);
+    EXPECT_EQ(store.malformedLines(), 2u);
+    EXPECT_EQ(store.lookup(wl, arch, Objective::Edp, false, 0.0).hit,
+              StoreHit::Exact);
+    std::remove(path.c_str());
+}
+
 TEST(MappingStore, CompactRewritesToLiveSet)
 {
     const std::string path = tempStorePath("compact");

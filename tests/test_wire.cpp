@@ -12,6 +12,7 @@
 
 #include "arch/arch.hpp"
 #include "common/math_util.hpp"
+#include "mapping/mapping_io.hpp"
 #include "service/net.hpp"
 #include "service/server.hpp"
 #include "service/wire.hpp"
@@ -573,6 +574,53 @@ TEST_F(WireTcpTest, HostileMappingShapeInReplicateIsSkipped)
     EXPECT_TRUE(rep->getBool("ok", false)) << line;
     EXPECT_EQ(rep->getInt("merged", -1), 1);
     EXPECT_EQ(rep->getInt("ignored", -1), 1);
+    ASSERT_EQ(reader.readLine(&line, 60000), LineReader::Status::Line);
+    const auto pong = parseJson(line);
+    ASSERT_TRUE(pong.has_value()) << line;
+    EXPECT_EQ(pong->getString("type", ""), "ping");
+    closeSocket(fd);
+}
+
+TEST_F(WireTcpTest, ReplicateRecordsThatDoNotFitTheirWorkloadAreSkipped)
+{
+    // A record whose mapping has another dim count than its workload,
+    // and one whose keep mask is longer than the workload's tensor
+    // count: both count in replicate_invalid, the valid record merges,
+    // and the next pipelined line is still served.
+    const Workload wl = test::tinyGemm();
+    const ArchConfig arch = test::miniNpu();
+    JsonValue wrong_dims = entryJson(3.0);
+    wrong_dims["mapping"] =
+        serializeMapping(Mapping(arch.numLevels(), wl.numDims() - 1));
+    JsonValue long_mask = entryJson(4.0);
+    Mapping masked = test::allAtTop(wl, arch);
+    masked.setKeepMask(
+        0, std::vector<uint8_t>(static_cast<size_t>(wl.numTensors()) + 1, 1));
+    long_mask["mapping"] = serializeMapping(masked);
+    JsonValue msg = JsonValue::object();
+    msg["type"] = "replicate";
+    msg["from"] = "127.0.0.1:1";
+    msg["entries"] = JsonValue::array();
+    msg["entries"].push(wrong_dims);
+    msg["entries"].push(long_mask);
+    msg["entries"].push(entryJson(5.0));
+
+    const auto req = parse(msg.dump());
+    ASSERT_TRUE(req.has_value());
+    EXPECT_EQ(req->replicate_invalid, 2u);
+    EXPECT_EQ(req->replicate_entries.size(), 1u);
+
+    const int fd = connect();
+    LineReader reader(fd);
+    const std::string burst = msg.dump() + "\n{\"type\":\"ping\"}\n";
+    ASSERT_TRUE(sendAll(fd, burst.data(), burst.size()));
+    std::string line;
+    ASSERT_EQ(reader.readLine(&line, 60000), LineReader::Status::Line);
+    const auto rep = parseJson(line);
+    ASSERT_TRUE(rep.has_value()) << line;
+    EXPECT_TRUE(rep->getBool("ok", false)) << line;
+    EXPECT_EQ(rep->getInt("merged", -1), 1);
+    EXPECT_EQ(rep->getInt("ignored", -1), 2);
     ASSERT_EQ(reader.readLine(&line, 60000), LineReader::Status::Line);
     const auto pong = parseJson(line);
     ASSERT_TRUE(pong.has_value()) << line;
