@@ -21,10 +21,12 @@
 #include "bench_util.hpp"
 #include "common/thread_pool.hpp"
 #include "core/mse_engine.hpp"
+#include "core/sparsity_aware.hpp"
 #include "mappers/gamma.hpp"
 #include "mappers/random_pruned.hpp"
 #include "model/batch_eval.hpp"
 #include "model/eval_plan.hpp"
+#include "model/sparse_pass.hpp"
 #include "service/mapping_store.hpp"
 #include "sparse/sparse_model.hpp"
 #include "workload/model_zoo.hpp"
@@ -88,6 +90,79 @@ BM_SparseCostModel(benchmark::State &state)
     }
 }
 BENCHMARK(BM_SparseCostModel);
+
+/** BM_SparseCostModel's workload, arch and mapping pool. */
+struct SparseBenchSetup
+{
+    Workload wl = resnetConv4();
+    ArchConfig arch = accelB();
+    std::vector<Mapping> pool;
+
+    explicit SparseBenchSetup(size_t n)
+    {
+        applyDensities(wl, 0.5, 0.5);
+        MapSpace space(wl, arch);
+        Rng rng(3); // same stream as BM_SparseCostModel
+        for (size_t i = 0; i < n; ++i)
+            pool.push_back(space.randomMapping(rng));
+    }
+};
+
+void
+BM_SparsePlannedEval(benchmark::State &state)
+{
+    // The same sparse model as BM_SparseCostModel, as the scalar
+    // planned path: one EvalPlan + SparsePlan, the post-pass over the
+    // planned access rows, scratch reused across evaluations.
+    const SparseBenchSetup b(64);
+    const EvalPlan plan = EvalPlan::build(b.wl, b.arch);
+    SparsePlan sparse(b.wl, SparseAcceleratorFeatures{});
+    sparse.addPass(b.wl);
+    EvalScratch scratch;
+    CostResult out;
+    size_t i = 0;
+    for (auto _ : state) {
+        evaluatePlannedSparse(plan, sparse, b.pool[i++ % b.pool.size()],
+                              scratch, out);
+        benchmark::DoNotOptimize(out);
+    }
+}
+BENCHMARK(BM_SparsePlannedEval);
+
+void
+BM_SparseSoABatchEval(benchmark::State &state)
+{
+    // The SoA kernel's sparse tail over a population-sized batch; the
+    // reported time is per batch, items-per-second is per evaluation.
+    const SparseBenchSetup b(128);
+    const EvalPlan plan = EvalPlan::build(b.wl, b.arch);
+    SparsePlan sparse(b.wl, SparseAcceleratorFeatures{});
+    sparse.addPass(b.wl);
+    std::vector<CostResult> out(b.pool.size());
+    for (auto _ : state) {
+        evaluateBatchSoA(plan, b.pool, out, &sparse);
+        benchmark::DoNotOptimize(out.data());
+    }
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                            static_cast<int64_t>(b.pool.size()));
+}
+BENCHMARK(BM_SparseSoABatchEval);
+
+void
+BM_SparsityAwareEval(benchmark::State &state)
+{
+    // One sparsity-aware score (the paper's K = 5 default densities)
+    // per iteration through the EvalFn a search calls: the rows once,
+    // then five post-passes. Compare with 5 x BM_SparseCostModel.
+    const SparseBenchSetup b(64);
+    const MapSpace space(resnetConv4(), b.arch);
+    const EvalFn eval = makeSparsityAwareEvaluator(
+        space, SparseCostModel(), SparsityAwareConfig{});
+    size_t i = 0;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(eval(b.pool[i++ % b.pool.size()]));
+}
+BENCHMARK(BM_SparsityAwareEval);
 
 void
 BM_RngChance(benchmark::State &state)

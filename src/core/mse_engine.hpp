@@ -4,12 +4,12 @@
  * Fig. 2 in the paper).
  *
  * MseEngine ties the pieces together: it builds the map space for an
- * incoming workload, constructs the evaluation function (dense or sparse
- * cost model, or a caller-provided wrapper such as the sparsity-aware
- * scorer), applies warm-start seeding from its replay buffer, runs the
- * chosen mapper under a budget, maintains the (energy, latency) Pareto
- * frontier of every evaluated sample, and finally records the optimized
- * mapping back into the replay buffer for future warm-starts.
+ * incoming workload, constructs the planned batch evaluator (dense, or
+ * with the sparse post-pass), applies warm-start seeding from its
+ * replay buffer, runs the chosen mapper under a budget, maintains the
+ * (energy, latency) Pareto frontier of every evaluated sample, and
+ * finally records the optimized mapping back into the replay buffer for
+ * future warm-starts.
  */
 #pragma once
 
@@ -35,8 +35,7 @@ struct MseOptions
      * objective re-targets each result's edp field after the cost
      * model runs. With Edp the re-targeting is the identity, so
      * existing runs are unchanged bit for bit. Applies to optimize()
-     * only — callers of optimizeWithEvaluator compose their own
-     * evaluator.
+     * only — runSearch scores with the caller's evaluator as is.
      */
     Objective objective = Objective::Edp;
 
@@ -50,7 +49,8 @@ struct MseOptions
     /** Record the outcome in the replay buffer. */
     bool update_replay = true;
 
-    /** Use the sparse cost model (reads densities off the workload). */
+    /** Score with the sparse post-pass (reads densities off the
+     *  workload); bit-identical to SparseCostModel::evaluate. */
     bool sparse = false;
 };
 
@@ -81,41 +81,35 @@ class MseEngine
   public:
     explicit MseEngine(ArchConfig arch,
                        SparseAcceleratorFeatures saf = {})
-        : arch_(std::move(arch)), sparse_model_(saf)
+        : arch_(std::move(arch)), saf_(saf)
     {}
 
     const ArchConfig &arch() const { return arch_; }
     ReplayBuffer &replay() { return replay_; }
     const ReplayBuffer &replay() const { return replay_; }
 
-    /** Run MSE for one workload with the built-in cost models. */
+    /**
+     * Run MSE for one workload: the planned batch evaluator (dense, or
+     * sparse at the workload's densities when opts.sparse), objective
+     * re-targeting and Pareto capture, then runSearch.
+     */
     MseOutcome optimize(const Workload &wl, Mapper &mapper,
                         const MseOptions &opts, Rng &rng);
 
     /**
-     * Run MSE against a caller-supplied evaluator (e.g. the
-     * sparsity-aware scorer). Warm-start and the replay buffer still
-     * apply; the Pareto archive records the evaluator's (energy,
-     * latency) outputs.
-     */
-    MseOutcome optimizeWithEvaluator(const MapSpace &space,
-                                     const EvalFn &eval, Mapper &mapper,
-                                     const MseOptions &opts, Rng &rng);
-
-  private:
-    /**
-     * Shared tail of both optimize paths: warm-start seeding, the
-     * mapper run under `eval` (which already carries any Pareto/
-     * objective wrapping), convergence accounting, and the replay
-     * update. The Pareto archive is filled by the caller's evaluator
-     * wrapper, not here.
+     * The search tail optimize() runs under its evaluator: warm-start
+     * seeding from the replay buffer, the mapper under `eval`,
+     * convergence accounting, and the replay update. No Pareto capture
+     * — the returned archive is empty. Scoring a search with another
+     * evaluator (a scalar-model oracle, say) goes through here.
      */
     MseOutcome runSearch(const MapSpace &space, const EvalFn &eval,
                          Mapper &mapper, const MseOptions &opts,
                          Rng &rng);
 
+  private:
     ArchConfig arch_;
-    SparseCostModel sparse_model_;
+    SparseAcceleratorFeatures saf_;
     ReplayBuffer replay_;
 };
 

@@ -57,17 +57,11 @@ objectiveScore(const CostResult &cost, Objective o)
     return cost.edp;
 }
 
-EvalFn
-makeObjectiveEvaluator(EvalFn base, Objective o)
+void
+applyObjective(CostResult &cost, Objective o)
 {
-    if (o == Objective::Edp)
-        return base;
-    return [base = std::move(base), o](const Mapping &m) {
-        CostResult c = base(m);
-        if (c.valid)
-            c.edp = objectiveScore(c, o);
-        return c;
-    };
+    if (o != Objective::Edp && cost.valid)
+        cost.edp = objectiveScore(cost, o);
 }
 
 } // namespace mse

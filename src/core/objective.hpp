@@ -4,8 +4,8 @@
  * latency or energy-efficiency)... any formulation of the objective can
  * also be used").
  *
- * Mappers minimize CostResult::edp; makeObjectiveEvaluator re-targets
- * that scalar to any supported objective so every mapper can optimize
+ * Mappers minimize CostResult::edp; applyObjective re-targets that
+ * scalar to any supported objective so every mapper can optimize
  * latency-only, energy-only, ED^2P, etc. without modification. Energy
  * and latency fields are preserved so the Pareto frontier stays
  * meaningful.
@@ -15,7 +15,7 @@
 #include <optional>
 #include <string>
 
-#include "mappers/mapper.hpp"
+#include "model/cost_model.hpp"
 
 namespace mse {
 
@@ -43,9 +43,11 @@ std::optional<Objective> objectiveFromName(const std::string &name);
 double objectiveScore(const CostResult &cost, Objective o);
 
 /**
- * Wrap an evaluator so mappers minimize the chosen objective: the
- * returned CostResult carries the objective score in `edp`.
+ * Re-target one result so mappers minimize the chosen objective: a
+ * valid result's `edp` becomes the objective score. The identity for
+ * Edp (a combined sparsity-aware score is not energy * latency, so Edp
+ * must not recompute it); invalid results pass through unchanged.
  */
-EvalFn makeObjectiveEvaluator(EvalFn base, Objective o);
+void applyObjective(CostResult &cost, Objective o);
 
 } // namespace mse

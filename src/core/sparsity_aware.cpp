@@ -1,52 +1,45 @@
 #include "core/sparsity_aware.hpp"
 
-#include <limits>
+#include <memory>
+
+#include "model/batch_eval.hpp"
 
 namespace mse {
+
+namespace {
+
+/** An EvalFn owning a sparse batch evaluator, so searches under it take
+ *  SearchTracker's whole-batch SoA route. */
+EvalFn
+ownedBatchEval(const Workload &wl, const ArchConfig &arch,
+               SparsePlan sparse)
+{
+    auto impl =
+        std::make_shared<BatchCostEvaluator>(wl, arch, std::move(sparse));
+    BatchCostEvaluator *raw = impl.get();
+    return BatchableEval{raw, std::move(impl)};
+}
+
+} // namespace
 
 EvalFn
 makeSparsityAwareEvaluator(const MapSpace &space,
                            const SparseCostModel &model,
                            const SparsityAwareConfig &cfg)
 {
-    // Pre-instantiate one annotated workload per density level; the
-    // closure captures them by value.
-    std::vector<Workload> workloads;
-    workloads.reserve(cfg.densities.size());
-    for (double d : cfg.densities) {
+    // One pass per density level over rows computed once per candidate.
+    // Validity does not depend on density (capacity overflow spills), so
+    // the one structural check rejects a candidate exactly when some
+    // density level would: the found mapping is deployable at every
+    // density.
+    SparsePlan sparse(space.workload(), model.features());
+    sparse.combine = true;
+    for (const double d : cfg.densities) {
         Workload wl = space.workload();
         applyDensities(wl, cfg.weight_density, d);
-        workloads.push_back(std::move(wl));
+        sparse.addPass(wl, 1.0 / d);
     }
-    const ArchConfig arch = space.arch();
-    const std::vector<double> densities = cfg.densities;
-
-    return [workloads, arch, densities, model](const Mapping &m) {
-        CostResult combined;
-        combined.valid = true;
-        combined.edp = 0.0;
-        combined.energy_uj = 0.0;
-        combined.latency_cycles = 0.0;
-        for (size_t i = 0; i < workloads.size(); ++i) {
-            const CostResult c = model.evaluate(workloads[i], arch, m);
-            if (!c.valid) {
-                // Illegal under some density level: reject outright so
-                // the found mapping is deployable at every density.
-                CostResult bad;
-                bad.valid = false;
-                bad.error = c.error;
-                bad.edp = std::numeric_limits<double>::infinity();
-                bad.energy_uj = bad.edp;
-                bad.latency_cycles = bad.edp;
-                return bad;
-            }
-            const double w = 1.0 / densities[i];
-            combined.edp += c.edp * w;
-            combined.energy_uj += c.energy_uj * w;
-            combined.latency_cycles += c.latency_cycles * w;
-        }
-        return combined;
-    };
+    return ownedBatchEval(space.workload(), space.arch(), std::move(sparse));
 }
 
 EvalFn
@@ -56,10 +49,9 @@ makeStaticDensityEvaluator(const MapSpace &space,
 {
     Workload wl = space.workload();
     applyDensities(wl, weight_density, activation_density);
-    const ArchConfig arch = space.arch();
-    return [wl, arch, model](const Mapping &m) {
-        return model.evaluate(wl, arch, m);
-    };
+    SparsePlan sparse(wl, model.features());
+    sparse.addPass(wl);
+    return ownedBatchEval(wl, space.arch(), std::move(sparse));
 }
 
 } // namespace mse

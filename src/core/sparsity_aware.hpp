@@ -35,8 +35,10 @@ struct SparsityAwareConfig
  * Build an EvalFn that scores mappings with the density-weighted sum.
  * The returned CostResult carries the combined score in `edp` (energy
  * and latency hold the density-weighted sums of their components) so any
- * Mapper minimizes it transparently; one call evaluates the underlying
- * sparse model once per density.
+ * Mapper minimizes it transparently. One call validates the mapping and
+ * counts its traffic once, then runs the sparse post-pass once per
+ * density (bit-identical to running `model` per density); the EvalFn is
+ * a BatchableEval, so searches take the SoA batch route.
  *
  * The workload embedded in `space` supplies the tensor shapes; its
  * density annotations are overridden per sweep point.
@@ -47,7 +49,8 @@ EvalFn makeSparsityAwareEvaluator(const MapSpace &space,
 
 /**
  * Build an EvalFn for a fixed ("static") activation density, the
- * baseline columns of Table 4.
+ * baseline columns of Table 4: the planned sparse evaluator,
+ * bit-identical to `model` at that density.
  */
 EvalFn makeStaticDensityEvaluator(const MapSpace &space,
                                   const SparseCostModel &model,

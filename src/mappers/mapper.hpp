@@ -34,9 +34,9 @@ namespace mse {
  * (workload, arch, a const cost model) but must not write shared state
  * without internal synchronization. Every built-in evaluator satisfies
  * this: CostModel::evaluate is stateless, SparseCostModel::evaluate is
- * const over value-captured inputs, the sparsity-aware scorers capture
- * by value, and MseEngine's Pareto-tracking wrapper serializes its
- * archive behind a mutex.
+ * const, a BatchableEval reads an immutable plan through thread-local
+ * scratch (the sparsity-aware scorers own theirs), and MseEngine's
+ * Pareto-tracking post hook serializes its archive behind a mutex.
  */
 using EvalFn = std::function<CostResult(const Mapping &)>;
 

@@ -39,8 +39,8 @@ struct SoaScratch
  * so every CostResult is bit-identical to the scalar path.
  */
 void
-soaTile(const EvalPlan &p, const Mapping *batch, size_t k,
-        CostResult *out, SoaScratch &s)
+soaTile(const EvalPlan &p, const SparsePlan *sparse, const Mapping *batch,
+        size_t k, CostResult *out, SoaScratch &s)
 {
     const int L = p.L, D = p.D, T = p.T;
     const size_t LD = static_cast<size_t>(L) * D;
@@ -217,7 +217,10 @@ soaTile(const EvalPlan &p, const Mapping *batch, size_t k,
 
     // Stage E — capacity check (keep masks vary per candidate, so this
     // stays scalar; the adds run in the scalar path's tensor order).
-    for (int l = 0; l < L; ++l) {
+    // The sparse model spills over-capacity tiles instead of rejecting
+    // them, so a sparse tile skips the stage and Stage F's sparse tail
+    // reads the footprints of Stage D.
+    for (int l = 0; l < L && !sparse; ++l) {
         if (p.cap_words[l] <= 0)
             continue; // unbounded (DRAM)
         for (size_t j = 0; j < k; ++j) {
@@ -264,17 +267,22 @@ soaTile(const EvalPlan &p, const Mapping *batch, size_t k,
                     m.keeps(l, t) ? 1 : 0;
             }
         }
-        detail::finishPlanned(p, m, s.es, o);
+        if (sparse)
+            detail::finishSparse(p, *sparse, s.es, o);
+        else
+            detail::finishPlanned(p, s.es, o);
     }
 }
 
 /** Run batch[0..k) through soaTile in kSoaTile-sized pieces. */
 void
-soaEvaluate(const EvalPlan &p, const Mapping *batch, size_t k,
-            CostResult *out, SoaScratch &s)
+soaEvaluate(const EvalPlan &p, const SparsePlan *sparse,
+            const Mapping *batch, size_t k, CostResult *out, SoaScratch &s)
 {
-    for (size_t off = 0; off < k; off += kSoaTile)
-        soaTile(p, batch + off, std::min(kSoaTile, k - off), out + off, s);
+    for (size_t off = 0; off < k; off += kSoaTile) {
+        soaTile(p, sparse, batch + off, std::min(kSoaTile, k - off),
+                out + off, s);
+    }
 }
 
 /** Per-thread kernel scratch (pool workers persist across batches). */
@@ -289,10 +297,10 @@ soaTls()
 
 void
 evaluateBatchSoA(const EvalPlan &plan, std::span<const Mapping> batch,
-                 std::span<CostResult> out)
+                 std::span<CostResult> out, const SparsePlan *sparse)
 {
     const size_t n = std::min(batch.size(), out.size());
-    soaEvaluate(plan, batch.data(), n, out.data(), soaTls());
+    soaEvaluate(plan, sparse, batch.data(), n, out.data(), soaTls());
 }
 
 void
@@ -303,8 +311,8 @@ BatchCostEvaluator::evaluateBatch(const Mapping *batch, const EvalHint *,
         return;
     // One contiguous chunk per pool lane; chunks write disjoint ranges.
     const auto body = [&](size_t begin, size_t end) {
-        soaEvaluate(plan_, batch + begin, end - begin, out + begin,
-                    soaTls());
+        soaEvaluate(plan_, sparse(), batch + begin, end - begin,
+                    out + begin, soaTls());
         if (post_) {
             for (size_t i = begin; i < end; ++i)
                 post_(batch[i], out[i]);
@@ -327,7 +335,10 @@ CostResult
 BatchCostEvaluator::evaluateOne(const Mapping &m)
 {
     CostResult res;
-    evaluatePlanned(plan_, m, soaTls().es, res);
+    if (sparse_)
+        evaluatePlannedSparse(plan_, *sparse_, m, soaTls().es, res);
+    else
+        evaluatePlanned(plan_, m, soaTls().es, res);
     if (post_)
         post_(m, res);
     return res;

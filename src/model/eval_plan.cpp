@@ -10,23 +10,6 @@ namespace mse {
 
 namespace {
 
-/** Restore `out` to a default-constructed CostResult, keeping vector
- *  capacity so recycled results stay allocation-free. */
-void
-resetResult(CostResult &out)
-{
-    out.valid = false;
-    out.error = MappingError::Ok;
-    out.latency_cycles = 0.0;
-    out.energy_uj = 0.0;
-    out.edp = 0.0;
-    out.compute_cycles = 0.0;
-    out.utilization = 0.0;
-    out.macs = 0.0;
-    out.level_energy_uj.clear();
-    out.level_cycles.clear();
-}
-
 /**
  * Tile footprint of tensor t at level l from the cumulative-factor
  * table; mirrors tileFootprint's term order. Extents use wrap-defined
@@ -48,120 +31,6 @@ footprintFromCum(const EvalPlan &p, const uint64_t *cum_l, int t)
         prod *= static_cast<double>(static_cast<int64_t>(extent));
     }
     return prod;
-}
-
-/**
- * Fused legality check; mirrors validateMapping's check order (and
- * therefore its error precedence) exactly. On the way it fills the
- * scratch cumulative-factor table, spatial products, and the kept-slot
- * footprints that access counting reuses — this fusion is where much
- * of the planned path's speedup over the scalar path comes from, since
- * the scalar path recomputes every footprint from cumulativeFactor
- * once during validation and again during access counting.
- */
-MappingError
-validatePlanned(const EvalPlan &p, const Mapping &m, EvalScratch &s)
-{
-    const int L = p.L, D = p.D, T = p.T;
-    if (m.numLevels() != L || m.numDims() != D)
-        return MappingError::BadShape;
-    for (int l = 0; l < L; ++l) {
-        const ConstLevelMapping lvl = m.level(l);
-        // Dense views for every later pass (validation and the tail
-        // both re-read these arrays several times; one pointer load
-        // here replaces a vector deref per touch).
-        s.tf_ptr[l] = lvl.temporal.data();
-        s.sf_ptr[l] = lvl.spatial.data();
-        s.ord_ptr[l] = lvl.order.data();
-        // Permutation check via a bitmask (D <= 32): out-of-range
-        // indices (including negatives, via the unsigned cast) and
-        // duplicates both fail exactly as the seen-array original did.
-        uint32_t seen = 0;
-        for (const int64_t v : lvl.order) {
-            if (static_cast<uint64_t>(v) >= static_cast<uint64_t>(D) ||
-                ((seen >> static_cast<unsigned>(v)) & 1u)) {
-                return MappingError::BadOrder;
-            }
-            seen |= 1u << static_cast<unsigned>(v);
-        }
-        const int64_t *tf = lvl.temporal.data();
-        const int64_t *sf = lvl.spatial.data();
-        bool pos = true;
-        for (int d = 0; d < D; ++d)
-            pos &= (tf[d] >= 1) & (sf[d] >= 1);
-        if (!pos)
-            return MappingError::BadFactorProduct;
-        if (!lvl.keep.empty() &&
-            static_cast<int>(lvl.keep.size()) != T) {
-            return MappingError::BadShape;
-        }
-    }
-    for (int t = 0; t < T; ++t) {
-        if (!m.keeps(L - 1, t))
-            return MappingError::BadShape;
-    }
-    // Cumulative factor table + per-dimension factor-product check.
-    // Products use wrap-defined unsigned arithmetic; on (pathological)
-    // overflow the wrapped value still fails the bound check. Built
-    // level-major off the dense views (unsigned multiplication is
-    // associative and commutative mod 2^64, so the level-major
-    // recurrence produces the same bits as the dim-major original).
-    for (int l = 0; l < L; ++l) {
-        const int64_t *tf = s.tf_ptr[l];
-        const int64_t *sf = s.sf_ptr[l];
-        const uint64_t *prev =
-            l > 0 ? &s.cum[static_cast<size_t>(l - 1) * D] : nullptr;
-        uint64_t *cur = &s.cum[static_cast<size_t>(l) * D];
-        for (int d = 0; d < D; ++d) {
-            const uint64_t f = static_cast<uint64_t>(tf[d]) *
-                static_cast<uint64_t>(sf[d]);
-            cur[d] = (prev ? prev[d] : uint64_t{1}) * f;
-        }
-    }
-    for (int d = 0; d < D; ++d) {
-        if (s.cum[static_cast<size_t>(L - 1) * D + d] !=
-            static_cast<uint64_t>(p.bounds[d])) {
-            return MappingError::BadFactorProduct;
-        }
-    }
-    for (int l = 0; l < L; ++l) {
-        const int64_t *sf = s.sf_ptr[l];
-        uint64_t sp = 1;
-        for (int d = 0; d < D; ++d)
-            sp *= static_cast<uint64_t>(sf[d]);
-        s.ssp[l] = sp;
-        if (static_cast<int64_t>(sp) > p.fanout[l])
-            return MappingError::FanoutExceeded;
-    }
-    // Footprints of every kept (tensor, level) slot: the capacity check
-    // below and the access-count chain both read them (the chain via
-    // the residency mask cached here).
-    for (int t = 0; t < T; ++t) {
-        for (int l = 0; l < L; ++l) {
-            const bool kept = m.keeps(l, t);
-            s.kept[static_cast<size_t>(t) * L + l] = kept ? 1 : 0;
-            if (kept) {
-                s.fp[static_cast<size_t>(t) * L + l] = l == L - 1
-                    ? p.fp_full[t]
-                    : footprintFromCum(
-                          p, &s.cum[static_cast<size_t>(l) * D], t);
-            }
-        }
-    }
-    for (int l = 0; l < L; ++l) {
-        if (p.cap_words[l] <= 0)
-            continue; // unbounded (DRAM)
-        double resident = 0.0;
-        for (int t = 0; t < T; ++t) {
-            if (s.kept[static_cast<size_t>(t) * L + l]) {
-                resident +=
-                    s.fp[static_cast<size_t>(t) * L + l] * p.density[t];
-            }
-        }
-        if (resident > p.cap_f[l])
-            return MappingError::CapacityExceeded;
-    }
-    return MappingError::Ok;
 }
 
 /** Per-level caches shared by access counting and the fold; mirrors the
@@ -333,59 +202,134 @@ computeTensorRows(const EvalPlan &p, EvalScratch &s, int t)
     }
 }
 
-/** Fold s.rows into `out`; mirrors CostModel::fold. */
-void
-foldRows(const EvalPlan &p, EvalScratch &s, CostResult &out)
-{
-    const int L = p.L, T = p.T;
-    out.valid = true;
-    out.error = MappingError::Ok;
-    out.macs = p.macs;
-    out.compute_cycles = p.macs / std::max(s.active_alus, 1.0);
-    out.utilization = s.active_alus / p.total_units;
-
-    out.level_energy_uj.assign(static_cast<size_t>(L), 0.0);
-    out.level_cycles.assign(static_cast<size_t>(L), 0.0);
-
-    double energy_pj = p.macs * p.mac_energy_pj;
-    double bound_cycles = out.compute_cycles;
-    for (int l = 0; l < L; ++l) {
-        double reads = 0.0, writes = 0.0;
-        for (int t = 0; t < T; ++t) {
-            reads += s.rows[static_cast<size_t>(l) * T + t].reads;
-            writes += s.rows[static_cast<size_t>(l) * T + t].writes;
-        }
-        // Memoized nocHops: same (topology, spatial product) in, same
-        // double out, so reusing the last value per level is exact.
-        double hops;
-        if (s.hops_key[l] == s.ssp[l] &&
-            s.hops_noc[l] == static_cast<int8_t>(p.noc[l])) {
-            hops = s.hops_val[l];
-        } else {
-            hops = nocHops(p.noc[l], static_cast<int64_t>(s.ssp[l]));
-            s.hops_key[l] = s.ssp[l];
-            s.hops_noc[l] = static_cast<int8_t>(p.noc[l]);
-            s.hops_val[l] = hops;
-        }
-        const double lvl_pj = reads * p.read_e[l] +
-            writes * p.write_e[l] + reads * hops * p.hop_e[l];
-        out.level_energy_uj[l] = lvl_pj * 1e-6;
-        energy_pj += lvl_pj;
-
-        const double per_instance =
-            (reads + writes) / std::max(s.ai[l], 1.0);
-        out.level_cycles[l] = per_instance / p.bw[l];
-        bound_cycles = std::max(bound_cycles, out.level_cycles[l]);
-    }
-
-    out.energy_uj = energy_pj * 1e-6;
-    out.latency_cycles = bound_cycles;
-    out.edp = out.energy_uj * out.latency_cycles;
-}
-
 } // namespace
 
 namespace detail {
+
+void
+resetResult(CostResult &out)
+{
+    out.valid = false;
+    out.error = MappingError::Ok;
+    out.latency_cycles = 0.0;
+    out.energy_uj = 0.0;
+    out.edp = 0.0;
+    out.compute_cycles = 0.0;
+    out.utilization = 0.0;
+    out.macs = 0.0;
+    out.level_energy_uj.clear();
+    out.level_cycles.clear();
+}
+
+// Validation fills the cumulative-factor table, spatial products and
+// kept-slot footprints that access counting reuses — this fusion is
+// where much of the planned path's speedup over the scalar path comes
+// from, since the scalar path recomputes every footprint from
+// cumulativeFactor once during validation and again during counting.
+MappingError
+validatePlanned(const EvalPlan &p, const Mapping &m, EvalScratch &s)
+{
+    const int L = p.L, D = p.D, T = p.T;
+    if (m.numLevels() != L || m.numDims() != D)
+        return MappingError::BadShape;
+    for (int l = 0; l < L; ++l) {
+        const ConstLevelMapping lvl = m.level(l);
+        // Dense views for every later pass (validation and the tail
+        // both re-read these arrays several times; one pointer load
+        // here replaces a vector deref per touch).
+        s.tf_ptr[l] = lvl.temporal.data();
+        s.sf_ptr[l] = lvl.spatial.data();
+        s.ord_ptr[l] = lvl.order.data();
+        // Permutation check via a bitmask (D <= 32): out-of-range
+        // indices (including negatives, via the unsigned cast) and
+        // duplicates both fail exactly as the seen-array original did.
+        uint32_t seen = 0;
+        for (const int64_t v : lvl.order) {
+            if (static_cast<uint64_t>(v) >= static_cast<uint64_t>(D) ||
+                ((seen >> static_cast<unsigned>(v)) & 1u)) {
+                return MappingError::BadOrder;
+            }
+            seen |= 1u << static_cast<unsigned>(v);
+        }
+        const int64_t *tf = lvl.temporal.data();
+        const int64_t *sf = lvl.spatial.data();
+        bool pos = true;
+        for (int d = 0; d < D; ++d)
+            pos &= (tf[d] >= 1) & (sf[d] >= 1);
+        if (!pos)
+            return MappingError::BadFactorProduct;
+        if (!lvl.keep.empty() &&
+            static_cast<int>(lvl.keep.size()) != T) {
+            return MappingError::BadShape;
+        }
+    }
+    for (int t = 0; t < T; ++t) {
+        if (!m.keeps(L - 1, t))
+            return MappingError::BadShape;
+    }
+    // Cumulative factor table + per-dimension factor-product check.
+    // Products use wrap-defined unsigned arithmetic; on (pathological)
+    // overflow the wrapped value still fails the bound check. Built
+    // level-major off the dense views (unsigned multiplication is
+    // associative and commutative mod 2^64, so the level-major
+    // recurrence produces the same bits as the dim-major original).
+    for (int l = 0; l < L; ++l) {
+        const int64_t *tf = s.tf_ptr[l];
+        const int64_t *sf = s.sf_ptr[l];
+        const uint64_t *prev =
+            l > 0 ? &s.cum[static_cast<size_t>(l - 1) * D] : nullptr;
+        uint64_t *cur = &s.cum[static_cast<size_t>(l) * D];
+        for (int d = 0; d < D; ++d) {
+            const uint64_t f = static_cast<uint64_t>(tf[d]) *
+                static_cast<uint64_t>(sf[d]);
+            cur[d] = (prev ? prev[d] : uint64_t{1}) * f;
+        }
+    }
+    for (int d = 0; d < D; ++d) {
+        if (s.cum[static_cast<size_t>(L - 1) * D + d] !=
+            static_cast<uint64_t>(p.bounds[d])) {
+            return MappingError::BadFactorProduct;
+        }
+    }
+    for (int l = 0; l < L; ++l) {
+        const int64_t *sf = s.sf_ptr[l];
+        uint64_t sp = 1;
+        for (int d = 0; d < D; ++d)
+            sp *= static_cast<uint64_t>(sf[d]);
+        s.ssp[l] = sp;
+        if (static_cast<int64_t>(sp) > p.fanout[l])
+            return MappingError::FanoutExceeded;
+    }
+    // Footprints of every kept (tensor, level) slot: the capacity check
+    // below and the access-count chain both read them (the chain via
+    // the residency mask cached here).
+    for (int t = 0; t < T; ++t) {
+        for (int l = 0; l < L; ++l) {
+            const bool kept = m.keeps(l, t);
+            s.kept[static_cast<size_t>(t) * L + l] = kept ? 1 : 0;
+            if (kept) {
+                s.fp[static_cast<size_t>(t) * L + l] = l == L - 1
+                    ? p.fp_full[t]
+                    : footprintFromCum(
+                          p, &s.cum[static_cast<size_t>(l) * D], t);
+            }
+        }
+    }
+    for (int l = 0; l < L; ++l) {
+        if (p.cap_words[l] <= 0)
+            continue; // unbounded (DRAM)
+        double resident = 0.0;
+        for (int t = 0; t < T; ++t) {
+            if (s.kept[static_cast<size_t>(t) * L + l]) {
+                resident +=
+                    s.fp[static_cast<size_t>(t) * L + l] * p.density[t];
+            }
+        }
+        if (resident > p.cap_f[l])
+            return MappingError::CapacityExceeded;
+    }
+    return MappingError::Ok;
+}
 
 void
 ensureScratch(const EvalPlan &plan, EvalScratch &s)
@@ -405,6 +349,10 @@ ensureScratch(const EvalPlan &plan, EvalScratch &s)
         s.ai.resize(L + 1);
     if (s.tcnt.size() < L + 1)
         s.tcnt.resize(L + 1);
+    if (s.pass_rows.size() < L * T)
+        s.pass_rows.resize(L * T);
+    if (s.red_below.size() < L)
+        s.red_below.resize(L);
     if (s.tf_ptr.size() < L) {
         s.tf_ptr.resize(L);
         s.sf_ptr.resize(L);
@@ -444,18 +392,75 @@ setErrorResult(CostResult &out, MappingError err)
 }
 
 void
-finishPlanned(const EvalPlan &plan, const Mapping &m, EvalScratch &s,
-              CostResult &out)
+computeRows(const EvalPlan &plan, EvalScratch &s)
 {
-    (void)m; // shape already captured in the scratch's dense views
-    resetResult(out);
     computeLevelCaches(plan, s);
     computeTensorCaches(plan, s);
     s.rows.assign(static_cast<size_t>(plan.L) * plan.T,
                   TensorLevelAccess{});
     for (int t = 0; t < plan.T; ++t)
         computeTensorRows(plan, s, t);
-    foldRows(plan, s, out);
+}
+
+void
+foldRows(const EvalPlan &p, EvalScratch &s, const TensorLevelAccess *rows,
+         double macs, double compute_cycles, double compute_energy_pj,
+         CostResult &out)
+{
+    const int L = p.L, T = p.T;
+    out.valid = true;
+    out.error = MappingError::Ok;
+    out.macs = macs;
+    out.compute_cycles = compute_cycles;
+    out.utilization = s.active_alus / p.total_units;
+
+    out.level_energy_uj.assign(static_cast<size_t>(L), 0.0);
+    out.level_cycles.assign(static_cast<size_t>(L), 0.0);
+
+    double energy_pj = compute_energy_pj;
+    double bound_cycles = out.compute_cycles;
+    for (int l = 0; l < L; ++l) {
+        double reads = 0.0, writes = 0.0;
+        for (int t = 0; t < T; ++t) {
+            reads += rows[static_cast<size_t>(l) * T + t].reads;
+            writes += rows[static_cast<size_t>(l) * T + t].writes;
+        }
+        // Memoized nocHops: same (topology, spatial product) in, same
+        // double out, so reusing the last value per level is exact.
+        double hops;
+        if (s.hops_key[l] == s.ssp[l] &&
+            s.hops_noc[l] == static_cast<int8_t>(p.noc[l])) {
+            hops = s.hops_val[l];
+        } else {
+            hops = nocHops(p.noc[l], static_cast<int64_t>(s.ssp[l]));
+            s.hops_key[l] = s.ssp[l];
+            s.hops_noc[l] = static_cast<int8_t>(p.noc[l]);
+            s.hops_val[l] = hops;
+        }
+        const double lvl_pj = reads * p.read_e[l] +
+            writes * p.write_e[l] + reads * hops * p.hop_e[l];
+        out.level_energy_uj[l] = lvl_pj * 1e-6;
+        energy_pj += lvl_pj;
+
+        const double per_instance =
+            (reads + writes) / std::max(s.ai[l], 1.0);
+        out.level_cycles[l] = per_instance / p.bw[l];
+        bound_cycles = std::max(bound_cycles, out.level_cycles[l]);
+    }
+
+    out.energy_uj = energy_pj * 1e-6;
+    out.latency_cycles = bound_cycles;
+    out.edp = out.energy_uj * out.latency_cycles;
+}
+
+void
+finishPlanned(const EvalPlan &plan, EvalScratch &s, CostResult &out)
+{
+    resetResult(out);
+    computeRows(plan, s);
+    foldRows(plan, s, s.rows.data(), plan.macs,
+             plan.macs / std::max(s.active_alus, 1.0),
+             plan.macs * plan.mac_energy_pj, out);
 }
 
 } // namespace detail
@@ -543,12 +548,12 @@ evaluatePlanned(const EvalPlan &plan, const Mapping &m, EvalScratch &s,
                 CostResult &out)
 {
     detail::ensureScratch(plan, s);
-    const MappingError err = validatePlanned(plan, m, s);
+    const MappingError err = detail::validatePlanned(plan, m, s);
     if (err != MappingError::Ok) {
         detail::setErrorResult(out, err);
         return;
     }
-    detail::finishPlanned(plan, m, s, out);
+    detail::finishPlanned(plan, s, out);
 }
 
 } // namespace mse

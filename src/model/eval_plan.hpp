@@ -115,6 +115,18 @@ struct EvalScratch
     std::vector<TensorLevelAccess> rows; ///< [L*T] access rows.
     double active_alus = 1.0;
 
+    // Sparse post-pass state: a per-pass working copy of the rows, the
+    // reduction iterations below each level, and one pass's result
+    // while a density sweep combines them.
+    std::vector<TensorLevelAccess> pass_rows; ///< [L*T]
+    std::vector<double> red_below; ///< [L]
+    CostResult pass_out;
+    // One-entry memo of the partial-density pow per (pass, level):
+    // (base, exponent) -> value. Sized by finishSparse.
+    std::vector<double> pow_base; ///< [K*L]
+    std::vector<double> pow_exp;  ///< [K*L]
+    std::vector<double> pow_val;  ///< [K*L]
+
     // Per-candidate caches refreshed by validation (or the SoA
     // scatter) before the access-count tail runs: dense views into the
     // mapping's per-level arrays, the residency mask, and the
@@ -155,18 +167,49 @@ namespace detail {
 /** Grow scratch buffers to the plan's shape (no-op once sized). */
 void ensureScratch(const EvalPlan &plan, EvalScratch &s);
 
+/** Restore `out` to a default-constructed CostResult, keeping vector
+ *  capacity so recycled results stay allocation-free. */
+void resetResult(CostResult &out);
+
 /** Write the invalid-mapping result CostModel::evaluate produces. */
 void setErrorResult(CostResult &out, MappingError err);
 
 /**
- * Shared tail of the planned evaluators: given scratch whose cum / ssp
- * / kept-slot footprints describe a *valid* mapping, compute the access
- * rows (left in s.rows, level-major) and fold them into `out`. The SoA
- * batch kernel funnels through this so its per-candidate arithmetic is
- * the same code — and therefore the same bits — as evaluatePlanned.
+ * Fused legality check; mirrors validateMapping's check order (and
+ * therefore its error precedence) exactly. Fills the scratch dense
+ * views, cumulative-factor table, spatial products and every kept-slot
+ * footprint before the capacity check, which runs last — so on
+ * CapacityExceeded the scratch is as complete as on Ok.
  */
-void finishPlanned(const EvalPlan &plan, const Mapping &m, EvalScratch &s,
-                   CostResult &out);
+MappingError validatePlanned(const EvalPlan &plan, const Mapping &m,
+                             EvalScratch &s);
+
+/**
+ * Access rows of a mapping whose scratch views, spatial products and
+ * kept-slot footprints are filled in (by validatePlanned or the SoA
+ * scatter): level caches, per-tensor caches, then s.rows (level-major,
+ * L*T). Mirrors computeAccessCounts operation for operation.
+ */
+void computeRows(const EvalPlan &plan, EvalScratch &s);
+
+/**
+ * Fold access rows into `out`; mirrors CostModel::fold. The compute
+ * terms are the caller's: the dense model passes macs,
+ * macs / max(active_alus, 1) and macs * mac_energy_pj; the sparse
+ * post-pass passes its effectual counterparts.
+ */
+void foldRows(const EvalPlan &plan, EvalScratch &s,
+              const TensorLevelAccess *rows, double macs,
+              double compute_cycles, double compute_energy_pj,
+              CostResult &out);
+
+/**
+ * Shared tail of the dense planned evaluators: computeRows, then fold.
+ * The SoA batch kernel funnels through this so its per-candidate
+ * arithmetic is the same code — and therefore the same bits — as
+ * evaluatePlanned.
+ */
+void finishPlanned(const EvalPlan &plan, EvalScratch &s, CostResult &out);
 
 } // namespace detail
 

@@ -29,39 +29,10 @@
 #include "arch/arch.hpp"
 #include "mapping/mapping.hpp"
 #include "model/cost_model.hpp"
+#include "model/sparse_pass.hpp"
 #include "workload/workload.hpp"
 
 namespace mse {
-
-/** Sparse acceleration features (SAFs) of the modeled hardware. */
-struct SparseAcceleratorFeatures
-{
-    /** True: skip ineffectual compute (saves cycles and energy). */
-    bool skipping = true;
-
-    /** True: gate ineffectual compute (saves energy only). Used when
-     *  skipping is false. */
-    bool gating = true;
-
-    /** Store weights / activations compressed. */
-    bool compress_weights = true;
-    bool compress_activations = true;
-
-    /** Extra metadata words per stored payload word (coords/bitmask). */
-    double metadata_overhead = 0.06;
-
-    /** Load-imbalance penalty coefficient on skipped compute. */
-    double imbalance_alpha = 0.35;
-
-    /** Coordinate-intersection scan cost (cycles per operand coord). */
-    double intersect_beta = 0.35;
-
-    /** Partial-output merge cost (cycles per effectual product). */
-    double merge_gamma = 0.3;
-
-    /** Energy of one gated (suppressed) MAC relative to a real MAC. */
-    double gated_mac_fraction = 0.1;
-};
 
 /**
  * Fraction in [0, 1] describing how *inner* the reduction loops of a
@@ -89,6 +60,11 @@ void fixOrderOuterProduct(const Workload &wl, Mapping &m);
  * The sparse analytical cost model. Reads tensor densities off the
  * workload; a fully dense workload reduces to CostModel plus the
  * (configurable, style-dependent) dataflow overheads.
+ *
+ * This scalar form is the reference: searches score with the planned
+ * post-pass (model/sparse_pass.hpp), which is proven bit-identical to
+ * evaluate() by tests/test_sparse_plan.cpp, and evaluate() remains the
+ * oracle those tests and the benchmark's answer check compare against.
  */
 class SparseCostModel
 {

@@ -19,6 +19,7 @@
 #include "mapping/map_space.hpp"
 #include "model/batch_eval.hpp"
 #include "model/eval_plan.hpp"
+#include "sparse/sparse_model.hpp"
 #include "workload/model_zoo.hpp"
 
 namespace {
@@ -168,6 +169,42 @@ TEST_F(AllocBudget, SteadyStateSoaBatchAllocatesNothing)
     evaluateBatchSoA(plan, pool_, out); // grow the kernel scratch once
     EXPECT_EQ(allocationsOf([&] { evaluateBatchSoA(plan, pool_, out); }),
               0u);
+}
+
+TEST_F(AllocBudget, SteadyStateSparsePassesAllocateNothing)
+{
+    // One raw pass (the engine's sparse search) and a combined
+    // five-density sweep (the sparsity-aware scorer), scalar and SoA.
+    const Workload &wl = space_.workload();
+    const EvalPlan plan = EvalPlan::build(wl, space_.arch());
+    SparsePlan single(wl, SparseAcceleratorFeatures{});
+    single.addPass(wl);
+    SparsePlan sweep(wl, SparseAcceleratorFeatures{});
+    sweep.combine = true;
+    for (const double d : {1.0, 0.8, 0.5, 0.2, 0.1}) {
+        Workload annotated = wl;
+        applyDensities(annotated, 1.0, d);
+        sweep.addPass(annotated, 1.0 / d);
+    }
+    for (const SparsePlan *sparse : {&single, &sweep}) {
+        EvalScratch scratch;
+        CostResult out;
+        for (const Mapping &m : pool_)
+            evaluatePlannedSparse(plan, *sparse, m, scratch, out);
+        for (const Mapping &m : pool_) {
+            EXPECT_EQ(allocationsOf([&] {
+                          evaluatePlannedSparse(plan, *sparse, m, scratch,
+                                                out);
+                      }),
+                      0u);
+        }
+        std::vector<CostResult> batch(pool_.size());
+        evaluateBatchSoA(plan, pool_, batch, sparse);
+        EXPECT_EQ(allocationsOf([&] {
+                      evaluateBatchSoA(plan, pool_, batch, sparse);
+                  }),
+                  0u);
+    }
 }
 
 TEST(AllocBudgetPareto, RanksOfAGammaPopulationAtMostTwo)

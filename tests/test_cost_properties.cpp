@@ -222,8 +222,8 @@ TEST_P(CostPropertyP, EngineAndScalarOracleShareTheIncumbent)
         const EvalFn eval = [&](const Mapping &m) {
             return CostModel::evaluate(combo_.wl, combo_.arch, m);
         };
-        return engine.optimizeWithEvaluator(
-            MapSpace(combo_.wl, combo_.arch), eval, gamma, opts, rng);
+        return engine.runSearch(MapSpace(combo_.wl, combo_.arch), eval,
+                                gamma, opts, rng);
     };
     const MseOutcome b = search(true, 1);
     for (const unsigned threads : {1u, 4u}) {

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/csv.hpp"
+#include "test_helpers.hpp"
 
 namespace mse {
 namespace {
@@ -21,7 +22,7 @@ slurp(const std::string &path)
 class CsvTest : public ::testing::Test
 {
   protected:
-    std::string path_ = ::testing::TempDir() + "/mse_csv_test.csv";
+    std::string path_ = test::tempPath("mse_csv_test.csv");
 
     void TearDown() override { std::remove(path_.c_str()); }
 };

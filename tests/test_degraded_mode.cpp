@@ -38,13 +38,13 @@ class GlobalFaultGuard
     ~GlobalFaultGuard() { FaultInjector::global().clear(); }
 };
 
-/** Per-test store path; TempDir() persists across runs, so drop any
- *  leftover file from a previous run to keep the tests hermetic. */
+/** Per-test store path; drop any leftover file from an earlier test
+ *  in this process to keep the tests hermetic. */
 std::string
 tempStorePath(const char *tag)
 {
     const std::string path =
-        testing::TempDir() + "/mse_degraded_" + tag + ".jsonl";
+        test::tempPath(std::string("mse_degraded_") + tag + ".jsonl");
     std::remove(path.c_str());
     return path;
 }

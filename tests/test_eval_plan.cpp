@@ -18,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/thread_annotations.hpp"
 #include "common/thread_pool.hpp"
 #include "core/mse_engine.hpp"
 #include "mappers/gamma.hpp"
@@ -33,84 +34,9 @@
 namespace mse {
 namespace {
 
-/** Exact decimal rendering that round-trips IEEE-754 doubles. */
-std::string
-g17(double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
-
-/** Render every field of a CostResult for bitwise comparison. */
-std::string
-render(const CostResult &c)
-{
-    std::string s;
-    s += c.valid ? "valid" : "invalid";
-    s += " err=" + std::to_string(static_cast<int>(c.error));
-    s += " lat=" + g17(c.latency_cycles);
-    s += " e=" + g17(c.energy_uj);
-    s += " edp=" + g17(c.edp);
-    s += " cc=" + g17(c.compute_cycles);
-    s += " util=" + g17(c.utilization);
-    s += " macs=" + g17(c.macs);
-    s += " le=[";
-    for (double v : c.level_energy_uj)
-        s += g17(v) + ",";
-    s += "] lc=[";
-    for (double v : c.level_cycles)
-        s += g17(v) + ",";
-    s += "]";
-    return s;
-}
-
-/**
- * A randomized population that exercises every validation stage:
- * mostly space-legal mappings, spiced with corrupted ones (bad factor
- * products, zero factors, broken permutations, dropped DRAM
- * residency) so the error paths differ too.
- */
-std::vector<Mapping>
-randomizedPopulation(const MapSpace &space, size_t n, uint64_t seed)
-{
-    Rng rng(seed);
-    std::vector<Mapping> pop;
-    pop.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-        Mapping m = space.randomMapping(rng);
-        const int L = m.numLevels();
-        const int D = m.numDims();
-        switch (i % 17) {
-        case 3: // break the per-dimension factor product
-            m.level(static_cast<int>(rng.index(L)))
-                .temporal[rng.index(D)] += 1;
-            break;
-        case 5: // zero factor (factors-below-one error)
-            m.level(static_cast<int>(rng.index(L)))
-                .spatial[rng.index(D)] = 0;
-            break;
-        case 7: { // duplicate order entry (broken permutation)
-            const auto ord = m.level(static_cast<int>(rng.index(L))).order;
-            ord[0] = ord[D - 1];
-            break;
-        }
-        case 11: // out-of-range order entry
-            m.level(static_cast<int>(rng.index(L))).order[0] = D + 3;
-            break;
-        case 13: // DRAM must keep every tensor
-            if (!m.level(L - 1).keep.empty()) {
-                m.setKeep(L - 1, 0, false,
-                          static_cast<int>(m.level(L - 1).keep.size()));
-            }
-            break;
-        default:
-            break; // space-legal (may still exceed capacity/fanout)
-        }
-        pop.push_back(std::move(m));
-    }
-    return pop;
-}
+using test::g17;
+using test::randomizedPopulation;
+using test::render;
 
 struct Triple
 {
@@ -309,14 +235,23 @@ TEST(EvalPlanDifferential, EngineSearchesBitIdenticalAcrossEvalPaths)
             return fingerprint(engine.optimize(*leg.wl, mapper, opts, rng));
         const Workload &wl = *leg.wl;
         const SparseCostModel model;
-        const EvalFn eval = makeObjectiveEvaluator(
-            [&](const Mapping &m) {
-                return leg.sparse ? model.evaluate(wl, arch, m)
-                                  : CostModel::evaluate(wl, arch, m);
-            },
-            opts.objective);
-        return fingerprint(engine.optimizeWithEvaluator(
-            MapSpace(wl, arch), eval, mapper, opts, rng));
+        ParetoArchive pareto;
+        size_t sample_index = 0;
+        Mutex pareto_mu;
+        const EvalFn eval = [&](const Mapping &m) {
+            CostResult c = leg.sparse ? model.evaluate(wl, arch, m)
+                                      : CostModel::evaluate(wl, arch, m);
+            applyObjective(c, opts.objective);
+            MutexLock lk(pareto_mu);
+            if (c.valid)
+                pareto.insert(c.energy_uj, c.latency_cycles, sample_index);
+            ++sample_index;
+            return c;
+        };
+        MseOutcome out =
+            engine.runSearch(MapSpace(wl, arch), eval, mapper, opts, rng);
+        out.pareto = std::move(pareto);
+        return fingerprint(out);
     };
     for (const Leg &leg : legs) {
         ThreadPool::setGlobalThreads(1);

@@ -23,6 +23,7 @@
 
 #include "common/fault_injection.hpp"
 #include "common/sys_io.hpp"
+#include "test_helpers.hpp"
 
 namespace mse {
 namespace {
@@ -241,15 +242,9 @@ class GlobalFaultGuard
     bool ok_ = false;
 };
 
-std::string
-tempPath(const char *name)
-{
-    return ::testing::TempDir() + "/" + name;
-}
-
 TEST(SysIoFaults, InjectedEnospcFailsWriteWithErrnoSet)
 {
-    const std::string path = tempPath("sysio_enospc.txt");
+    const std::string path = test::tempPath("sysio_enospc.txt");
     GlobalFaultGuard guard("test.w:every:1:ENOSPC");
     ASSERT_TRUE(guard.ok());
 
@@ -265,7 +260,7 @@ TEST(SysIoFaults, InjectedEnospcFailsWriteWithErrnoSet)
 
 TEST(SysIoFaults, InjectedEintrOnWriteIsRetriedTransparently)
 {
-    const std::string path = tempPath("sysio_eintr.txt");
+    const std::string path = test::tempPath("sysio_eintr.txt");
     GlobalFaultGuard guard("test.w:once:1:EINTR");
     ASSERT_TRUE(guard.ok());
 
@@ -363,7 +358,7 @@ TEST(SysIoFaults, InjectedEpollCtlFailureSurfacesErrno)
 
 TEST(SysIoFaults, InjectedOpenFailure)
 {
-    const std::string path = tempPath("sysio_open.txt");
+    const std::string path = test::tempPath("sysio_open.txt");
     GlobalFaultGuard guard("test.open:once:1:EACCES");
     ASSERT_TRUE(guard.ok());
     errno = 0;
@@ -392,7 +387,7 @@ TEST(SysIoFaults, DisarmedSeamTouchesNoCounters)
 {
     FaultInjector &g = FaultInjector::global();
     g.clear();
-    const std::string path = tempPath("sysio_clean.txt");
+    const std::string path = test::tempPath("sysio_clean.txt");
     const int fd = sysOpen(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC,
                            0644, "store.open");
     ASSERT_GE(fd, 0);

@@ -82,7 +82,7 @@ makeEntry(int m, double score)
 std::string
 tempHintPrefix(const char *tag)
 {
-    return testing::TempDir() + "/mse_hints_" + tag + "_";
+    return test::tempPath(std::string("mse_hints_") + tag + "_");
 }
 
 std::string

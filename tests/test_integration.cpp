@@ -15,6 +15,7 @@
 #include "mappers/random_pruned.hpp"
 #include "model/analysis.hpp"
 #include "service/mapping_store.hpp"
+#include "test_helpers.hpp"
 #include "workload/model_zoo.hpp"
 
 namespace mse {
@@ -24,8 +25,7 @@ TEST(Integration, CompileSessionWithPersistedCacheWarmStarts)
 {
     // Session 1: optimize two ResNet layers, persist the winners to a
     // MappingStore file.
-    const std::string cache =
-        ::testing::TempDir() + "/mse_integration_store.jsonl";
+    const std::string cache = test::tempPath("mse_integration_store.jsonl");
     std::remove(cache.c_str());
     const ArchConfig arch = accelB();
     {
@@ -156,24 +156,18 @@ TEST(Integration, AllMappersAgreeOnTheEasyOptimum)
 
 TEST(Integration, ObjectiveAwareEngineRunThroughPublicApi)
 {
-    // Latency-objective MSE through the engine's custom-evaluator path.
+    // Latency-objective MSE through the engine's public options.
     const Workload wl = resnetConv3();
     const ArchConfig arch = accelB();
     MseEngine engine(arch);
-    MapSpace space(wl, arch);
-    EvalFn base = [&](const Mapping &m) {
-        return CostModel::evaluate(wl, arch, m);
-    };
-    const EvalFn eval =
-        makeObjectiveEvaluator(base, Objective::Latency);
     GammaConfig cfg;
     cfg.multi_objective = false;
     GammaMapper gamma(cfg);
     MseOptions opts;
     opts.budget.max_samples = 1000;
+    opts.objective = Objective::Latency;
     Rng rng(8);
-    const MseOutcome out =
-        engine.optimizeWithEvaluator(space, eval, gamma, opts, rng);
+    const MseOutcome out = engine.optimize(wl, gamma, opts, rng);
     ASSERT_TRUE(out.search.found());
     // A latency-optimized mapping should achieve high utilization.
     const CostResult truth =

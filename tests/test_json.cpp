@@ -9,6 +9,7 @@
 #include <cstdio>
 
 #include "common/json.hpp"
+#include "test_helpers.hpp"
 
 namespace mse {
 namespace {
@@ -154,8 +155,7 @@ TEST(Json, WriteJsonFilePrettyRoundTrip)
         row["edp"] = 1.5 * i;
         layers.push(std::move(row));
     }
-    const std::string path =
-        testing::TempDir() + "/mse_test_json_out.json";
+    const std::string path = test::tempPath("mse_test_json_out.json");
     ASSERT_TRUE(writeJsonFile(path, doc));
 
     FILE *f = std::fopen(path.c_str(), "r");

@@ -40,7 +40,7 @@ topMapping(const Workload &wl, const ArchConfig &arch)
 std::string
 tempStorePath(const char *tag)
 {
-    return testing::TempDir() + "/mse_store_" + tag + ".jsonl";
+    return test::tempPath(std::string("mse_store_") + tag + ".jsonl");
 }
 
 /** Raw file contents (for tail-corruption surgery). */

@@ -177,8 +177,8 @@ TEST_F(ParallelEval, EnginePathMatchesScalarOracleTrajectory)
         const EvalFn eval = [&](const Mapping &m) {
             return CostModel::evaluate(wl, arch, m);
         };
-        return engine.optimizeWithEvaluator(MapSpace(wl, arch), eval,
-                                            mapper, opts, rng);
+        return engine.runSearch(MapSpace(wl, arch), eval, mapper, opts,
+                                rng);
     };
 
     const MseOutcome oracle = run(true, 1);

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "model/eval_plan.hpp"
 #include "sparse/sparse_model.hpp"
 #include "test_helpers.hpp"
 #include "workload/model_zoo.hpp"
@@ -88,6 +89,56 @@ TEST(SparseCostModel, DenseWorkloadMatchesCompressionFreeTraffic)
     // so it stays within a modest factor of the dense result.
     EXPECT_GT(s.energy_uj, 0.5 * d.energy_uj);
     EXPECT_LT(s.energy_uj, 3.0 * d.energy_uj);
+}
+
+// Parity settled: at density 1.0, with the three pure-overhead terms
+// (metadata words, partial-output merge, intersection scans) at zero,
+// the sparse post-pass is the dense model. Every CostResult field is
+// bit-equal on dense-valid mappings: compression scales are exactly 1,
+// the spill ratio never exceeds 1, eff_macs == macs, the imbalance
+// factor is exactly 1 and the zeroed terms add +0.0. The output
+// stream's rewrite writes' = min(w, (w - fin) + fin) is exact too,
+// because access rows are integer-valued doubles below 2^53; beyond
+// that it could land at most 1 ulp below w.
+TEST(SparseCostModel, ZeroOverheadUnitDensityEqualsDenseModel)
+{
+    SparseAcceleratorFeatures saf;
+    saf.metadata_overhead = 0.0;
+    saf.merge_gamma = 0.0;
+    saf.intersect_beta = 0.0;
+    for (const bool skipping : {true, false}) {
+        saf.skipping = skipping;
+        const struct
+        {
+            Workload wl;
+            ArchConfig arch;
+        } cases[] = {{resnetConv4(), accelB()}, {bertKqv(), accelA()}};
+        for (const auto &c : cases) {
+            Workload wl = c.wl;
+            applyDensities(wl, 1.0, 1.0);
+            const EvalPlan plan = EvalPlan::build(wl, c.arch);
+            SparsePlan sparse(wl, saf);
+            sparse.addPass(wl);
+            const MapSpace space(wl, c.arch);
+            const std::vector<Mapping> pop =
+                test::randomizedPopulation(space, 2000, 0x9a1);
+            EvalScratch ds, ss;
+            size_t checked = 0;
+            for (const Mapping &m : pop) {
+                CostResult dense, sp;
+                evaluatePlanned(plan, m, ds, dense);
+                if (!dense.valid)
+                    continue;
+                ++checked;
+                evaluatePlannedSparse(plan, sparse, m, ss, sp);
+                ASSERT_EQ(test::render(dense), test::render(sp));
+                ASSERT_EQ(test::render(CostModel::evaluate(wl, c.arch, m)),
+                          test::render(
+                              SparseCostModel(saf).evaluate(wl, c.arch, m)));
+            }
+            EXPECT_GT(checked, 200u);
+        }
+    }
 }
 
 TEST(SparseCostModel, EdpImprovesMonotonicallyWithSparsity)
