@@ -105,11 +105,13 @@ runPass(const EvalPlan &p, const SparsePlan &sp, size_t k,
     const int L = p.L, T = p.T, out_t = p.out;
     const SparseAcceleratorFeatures &saf = sp.saf;
     const double meta = sp.meta;
-    const double p0 = ps.dw * ps.da;
+    // Nonzero probability of one product: the effectual MAC fraction,
+    // and the seed of every partial-output density.
+    const double eff_frac = ps.dw * ps.da;
 
     // Traffic compression: inputs scale by their density, the output
     // stream per level by the partial density accumulated below it.
-    const double q0 = 1.0 - p0;
+    const double q0 = 1.0 - eff_frac;
     for (int l = 0; l < L; ++l) {
         // Same (base, exponent) in, same bits out: consecutive
         // candidates of a population mostly share a level's reduction
@@ -166,7 +168,6 @@ runPass(const EvalPlan &p, const SparsePlan &sp, size_t k,
         }
     }
 
-    const double eff_frac = ps.dw * ps.da;
     const double eff_macs = p.macs * eff_frac;
 
     // Outer-product partial outputs are merged at L1.
