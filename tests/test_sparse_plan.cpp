@@ -134,7 +134,7 @@ soaResults(const EvalPlan &plan, const SparsePlan &sparse,
     return out;
 }
 
-// Tentpole acceptance: the scalar planned and SoA sparse paths equal
+// The scalar planned and SoA sparse paths equal
 // SparseCostModel::evaluate on every field, for every density and SAF
 // mode, over mappings that hit every rejection and the spill.
 TEST(SparsePlanDifferential, PlannedAndSoAMatchSparseModel)
