@@ -27,6 +27,12 @@
  * draw, a repair or a mapper's control flow moves these lines, so a
  * change that claims to keep every draw is checked here. The same
  * MSE_REGEN_GOLDEN=1 run regenerates this fixture too.
+ *
+ * tests/data/golden_text_formats.txt pins the text forms of every zoo
+ * layer: Workload::signature() and serializeWorkload() at five tensor
+ * densities, and serializeMapping() of a fixed mapping per layer. Store
+ * keys, ShardRing placement and ModelSweep seeds hash these strings, so
+ * a change to a formatter must leave every byte of them as it is.
  */
 #include <gtest/gtest.h>
 
@@ -47,6 +53,7 @@
 #include "model/cost_model.hpp"
 #include "test_helpers.hpp"
 #include "workload/model_zoo.hpp"
+#include "workload/workload_io.hpp"
 
 namespace mse {
 namespace {
@@ -61,6 +68,12 @@ std::string
 searchFixturePath()
 {
     return std::string(MSE_TEST_DATA_DIR) + "/golden_search_traces.txt";
+}
+
+std::string
+textFixturePath()
+{
+    return std::string(MSE_TEST_DATA_DIR) + "/golden_text_formats.txt";
 }
 
 /** Exact decimal rendering that round-trips IEEE-754 doubles. */
@@ -403,6 +416,122 @@ TEST(GoldenTraces, SearchesMatchPinnedFixture)
     ASSERT_EQ(actual.size(), expected.size());
     for (size_t i = 0; i < actual.size(); ++i)
         EXPECT_EQ(actual[i], expected[i]) << "fixture line " << i;
+}
+
+/**
+ * Every zoo layer once (the Table-1 layers and the five model tables),
+ * in table order; a shape that repeats under the same name is kept once.
+ */
+std::vector<Workload>
+zooLayers()
+{
+    std::vector<Workload> all = {resnetConv3(), resnetConv4(),
+                                 inceptionConv2(), bertKqv(), bertAttn(),
+                                 bertFc()};
+    for (auto *table : {&vgg16Layers, &resnet18Layers, &mobilenetV2Layers,
+                        &mnasnetLayers, &bertLargeLayers}) {
+        for (Workload &wl : (*table)(16))
+            all.push_back(std::move(wl));
+    }
+    std::vector<Workload> out;
+    std::vector<std::string> seen;
+    for (Workload &wl : all) {
+        const std::string text = serializeWorkload(wl);
+        if (std::find(seen.begin(), seen.end(), text) != seen.end())
+            continue;
+        seen.push_back(text);
+        out.push_back(std::move(wl));
+    }
+    return out;
+}
+
+/**
+ * A fixed three-level mapping of wl, built without the RNG so the pin
+ * does not move with mapping generation: factors taken from the bounds,
+ * rotated orders, a bypass mask on level 1 and an explicit all-keep
+ * mask on level 2. It need not be legal on any architecture.
+ */
+Mapping
+pinnedMapping(const Workload &wl)
+{
+    const int dims = wl.numDims();
+    Mapping m(3, dims);
+    for (int l = 0; l < 3; ++l) {
+        const auto lvl = m.level(l);
+        for (int d = 0; d < dims; ++d) {
+            const int64_t b = wl.bound(d);
+            lvl.temporal[d] = l == 2 ? b : 1 + (b >> (3 * l)) % 7;
+            lvl.spatial[d] = l == 1 && b % 4 == 0 ? 4 : 1;
+            lvl.order[d] = (d + l) % dims;
+        }
+    }
+    std::vector<uint8_t> bypass(static_cast<size_t>(wl.numTensors()), 1);
+    bypass[0] = 0;
+    m.setKeepMask(1, bypass);
+    m.setKeepMask(2, std::vector<uint8_t>(bypass.size(), 1));
+    return m;
+}
+
+/** Every pinned text form, rendered as fixture lines. */
+std::vector<std::string>
+renderTextFormats()
+{
+    std::vector<std::string> lines;
+    for (const Workload &layer : zooLayers()) {
+        for (const double density : {1.0, 0.5, 0.05, 1e-05, 0.333333333}) {
+            Workload wl = layer;
+            for (const TensorSpec &t : layer.tensors())
+                wl.setDensity(t.name, density);
+            lines.push_back("sig " + wl.signature());
+            lines.push_back("wl " + serializeWorkload(wl));
+        }
+        lines.push_back("map " + serializeMapping(pinnedMapping(layer)));
+    }
+    return lines;
+}
+
+TEST(GoldenTraces, TextFormatsMatchPinnedFixture)
+{
+    const std::vector<std::string> actual = renderTextFormats();
+    if (std::getenv("MSE_REGEN_GOLDEN")) {
+        std::ofstream out(textFixturePath());
+        ASSERT_TRUE(out.good()) << "cannot write " << textFixturePath();
+        out << "# Golden text formats (v1). Regenerate with\n"
+               "#   MSE_REGEN_GOLDEN=1 ./build/tests/test_golden_traces\n"
+               "# Lines: sig <Workload::signature()>, wl <serializeWorkload>"
+               " per layer x density; map <serializeMapping> per layer\n";
+        for (const auto &line : actual)
+            out << line << "\n";
+        GTEST_SKIP() << "fixture regenerated at " << textFixturePath();
+    }
+    std::ifstream in(textFixturePath());
+    ASSERT_TRUE(in.good()) << "missing fixture " << textFixturePath();
+    std::vector<std::string> expected;
+    std::string line;
+    while (std::getline(in, line)) {
+        if (!line.empty() && line[0] != '#')
+            expected.push_back(line);
+    }
+    ASSERT_EQ(actual.size(), expected.size());
+    for (size_t i = 0; i < actual.size(); ++i)
+        EXPECT_EQ(actual[i], expected[i]) << "fixture line " << i;
+}
+
+TEST(GoldenTraces, PinnedTextFormatsParseBackUnchanged)
+{
+    // Every pinned serializer line is accepted by its parser and
+    // re-serializes to the same bytes.
+    for (const std::string &line : renderTextFormats()) {
+        if (line.rfind("wl ", 0) == 0) {
+            const auto wl = parseWorkload(line.substr(3));
+            ASSERT_TRUE(wl.has_value()) << line;
+            EXPECT_EQ("wl " + serializeWorkload(*wl), line);
+        } else if (line.rfind("map ", 0) == 0) {
+            const auto m = parseMapping(line.substr(4));
+            ASSERT_TRUE(m.has_value()) << line;
+            EXPECT_EQ("map " + serializeMapping(*m), line);
+        }
+    }
 }
 
 } // namespace
