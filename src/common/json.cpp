@@ -222,7 +222,7 @@ namespace {
 class Parser
 {
   public:
-    Parser(const std::string &text, std::string *error)
+    Parser(std::string_view text, std::string *error)
         : s_(text), error_(error)
     {}
 
@@ -329,7 +329,7 @@ class Parser
             fail("invalid value");
             return false;
         }
-        const std::string tok = s_.substr(start, pos_ - start);
+        const std::string tok(s_.substr(start, pos_ - start));
         char *end = nullptr;
         const double v = std::strtod(tok.c_str(), &end);
         if (end != tok.c_str() + tok.size() || !std::isfinite(v)) {
@@ -538,7 +538,7 @@ class Parser
         }
     }
 
-    const std::string &s_;
+    std::string_view s_;
     size_t pos_ = 0;
     std::string *error_;
 };
@@ -546,7 +546,7 @@ class Parser
 } // namespace
 
 std::optional<JsonValue>
-parseJson(const std::string &text, std::string *error)
+parseJson(std::string_view text, std::string *error)
 {
     if (error)
         error->clear();

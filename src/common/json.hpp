@@ -21,9 +21,12 @@
  */
 #pragma once
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -77,9 +80,19 @@ class JsonValue
     {
         return isNumber() ? num_ : def;
     }
+    /** The number truncated toward zero, saturated to int64's range. */
     int64_t asInt(int64_t def = 0) const
     {
-        return isNumber() ? static_cast<int64_t>(num_) : def;
+        // Converting an out-of-range double is undefined behavior, and
+        // hostile input may carry 1e300: saturate instead.
+        constexpr double kTwo63 = 9223372036854775808.0;
+        if (!isNumber() || std::isnan(num_))
+            return def;
+        if (num_ >= kTwo63)
+            return std::numeric_limits<int64_t>::max();
+        if (num_ <= -kTwo63)
+            return std::numeric_limits<int64_t>::min();
+        return static_cast<int64_t>(num_);
     }
     const std::string &asString() const { return str_; }
     std::string asString(const std::string &def) const
@@ -147,7 +160,7 @@ std::string jsonEscaped(const std::string &s);
  * offset. Rejects trailing non-whitespace and nesting deeper than 64
  * levels.
  */
-std::optional<JsonValue> parseJson(const std::string &text,
+std::optional<JsonValue> parseJson(std::string_view text,
                                    std::string *error = nullptr);
 
 /**

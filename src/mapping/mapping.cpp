@@ -86,8 +86,18 @@ Mapping::setKeepMask(int l, const std::vector<uint8_t> &mask)
         if (mask[t])
             bits |= uint64_t{1} << t;
     }
+    setKeepBits(l, mask.size(), bits);
+}
+
+void
+Mapping::setKeepBits(int l, size_t length, uint64_t bits)
+{
+    if (length > static_cast<size_t>(kMaxKeepTensors))
+        throw std::invalid_argument("mapping: keep mask too long");
+    if (length < 64)
+        bits &= (uint64_t{1} << length) - 1;
     int64_t *w = keepWords(l);
-    w[0] = static_cast<int64_t>(mask.size());
+    w[0] = static_cast<int64_t>(length);
     w[1] = static_cast<int64_t>(bits);
 }
 

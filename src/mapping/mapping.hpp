@@ -294,6 +294,13 @@ class Mapping
     void setKeepMask(int l, const std::vector<uint8_t> &mask);
 
     /**
+     * setKeepMask from a packed mask: `length` entries, entry t being
+     * bit t of `bits` (bits at or above `length` are ignored). Throws
+     * std::invalid_argument above kMaxKeepTensors entries.
+     */
+    void setKeepBits(int l, size_t length, uint64_t bits);
+
+    /**
      * Canonical dedupe key. Loops with temporal factor 1 are order-
      * insensitive, so the key sorts runs of unit loops; this implements
      * the Random-Pruned redundancy rule (Sec. 4.3).

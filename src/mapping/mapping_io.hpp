@@ -12,11 +12,18 @@
  * all-keep levels. parseMapping() validates structure (counts,
  * permutations) but not workload legality — run validateMapping() after
  * loading against the target workload/architecture.
+ *
+ * The parser is strict: exactly L levels, each with its t, s, o and
+ * optional k fields in that order, one space between fields and one
+ * ',' between values; no empty cell (so no trailing ';') and integers
+ * as whole decimal cells with at most a leading '-'. DESIGN.md §7
+ * gives the grammar.
  */
 #pragma once
 
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "mapping/mapping.hpp"
 
@@ -27,8 +34,9 @@ std::string serializeMapping(const Mapping &m);
 
 /**
  * Parse a serialized mapping; nullopt on malformed input (wrong header,
- * inconsistent counts, non-permutation orders, non-positive factors).
+ * inconsistent counts, non-permutation orders, non-positive factors,
+ * fields out of order or repeated, stray bytes).
  */
-std::optional<Mapping> parseMapping(const std::string &text);
+std::optional<Mapping> parseMapping(std::string_view text);
 
 } // namespace mse

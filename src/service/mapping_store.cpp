@@ -84,6 +84,19 @@ MappingStore::encodeEntry(const StoreEntry &e)
     return encodeEntryJson(e).dump();
 }
 
+namespace {
+
+/** doc[key] as a view if it is a string, else "" (the JSON tree owns it). */
+std::string_view
+stringField(const JsonValue &doc, const std::string &key)
+{
+    const JsonValue *v = doc.find(key);
+    return v && v->isString() ? std::string_view(v->asString())
+                              : std::string_view();
+}
+
+} // namespace
+
 std::optional<StoreEntry>
 MappingStore::decodeEntryJson(const JsonValue &doc)
 {
@@ -95,10 +108,10 @@ MappingStore::decodeEntryJson(const JsonValue &doc)
         doc.getString("objective", ""));
     if (!objective)
         return std::nullopt;
-    const auto wl = parseWorkload(doc.getString("workload", ""));
+    auto wl = parseWorkload(stringField(doc, "workload"));
     if (!wl)
         return std::nullopt;
-    const auto mapping = parseMapping(doc.getString("mapping", ""));
+    auto mapping = parseMapping(stringField(doc, "mapping"));
     if (!mapping || mapping->numDims() != wl->numDims())
         return std::nullopt;
     // A mapping must fit its own workload. Its level count belongs to
@@ -113,23 +126,24 @@ MappingStore::decodeEntryJson(const JsonValue &doc)
     if (model != "dense" && model != "sparse")
         return std::nullopt;
     StoreEntry e;
-    e.workload = *wl;
-    e.arch_sig = doc.getString("arch_sig", "");
+    e.workload = std::move(*wl);
+    e.arch_sig = stringField(doc, "arch_sig");
     e.objective = *objective;
     e.sparse = model == "sparse";
-    e.mapping = *mapping;
+    e.mapping = std::move(*mapping);
     e.score = doc.getDouble("score", 0.0);
     e.energy_uj = doc.getDouble("energy_uj", 0.0);
     e.latency_cycles = doc.getDouble("latency_cycles", 0.0);
-    e.samples = static_cast<uint64_t>(doc.getInt("samples", 0));
+    const int64_t samples = doc.getInt("samples", 0);
+    e.samples = static_cast<uint64_t>(samples);
     if (e.arch_sig.size() != 16 || !(e.score > 0.0) ||
-        !std::isfinite(e.score))
+        !std::isfinite(e.score) || samples < 0)
         return std::nullopt;
     return e;
 }
 
 std::optional<StoreEntry>
-MappingStore::decodeEntry(const std::string &line)
+MappingStore::decodeEntry(std::string_view line)
 {
     const auto doc = parseJson(line);
     if (!doc)
@@ -198,7 +212,7 @@ MappingStore::unindexLocked(const Node &node)
 }
 
 void
-MappingStore::replaceLocked(Node &node, const StoreEntry &e)
+MappingStore::replaceLocked(Node &node, StoreEntry e)
 {
     // One key is one workload signature, so the row can only go stale
     // if two signatures collide under fnv1a64: re-index it if it does.
@@ -207,15 +221,15 @@ MappingStore::replaceLocked(Node &node, const StoreEntry &e)
         old.bounds() != e.workload.bounds();
     if (stale)
         unindexLocked(node);
-    node.second = e;
+    node.second = std::move(e);
     if (stale)
         indexLocked(node);
 }
 
 void
-MappingStore::ingestLineLocked(const std::string &line)
+MappingStore::ingestLineLocked(std::string_view line)
 {
-    const auto entry = decodeEntry(line);
+    auto entry = decodeEntry(line);
     if (!entry) {
         // Torn tail or bit-rotted line: skip, keep the rest.
         ++malformed_;
@@ -225,11 +239,11 @@ MappingStore::ingestLineLocked(const std::string &line)
     ++key_appends_[key];
     const auto it = best_.find(key);
     if (it == best_.end()) {
-        indexLocked(*best_.emplace(key, *entry).first);
+        indexLocked(*best_.emplace(key, std::move(*entry)).first);
     } else {
         ++dead_;
         if (entry->score < it->second.score)
-            replaceLocked(*it, *entry);
+            replaceLocked(*it, std::move(*entry));
     }
 }
 
@@ -278,7 +292,8 @@ MappingStore::load()
             const size_t nl = pending.find('\n', start);
             if (nl == std::string::npos)
                 break;
-            ingestLineLocked(pending.substr(start, nl - start));
+            ingestLineLocked(
+                std::string_view(pending).substr(start, nl - start));
             start = nl + 1;
         }
         pending.erase(0, start);

@@ -38,6 +38,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -189,7 +190,7 @@ class MappingStore
 
     /** Serialize / parse one record line (exposed for tests). */
     static std::string encodeEntry(const StoreEntry &e);
-    static std::optional<StoreEntry> decodeEntry(const std::string &line);
+    static std::optional<StoreEntry> decodeEntry(std::string_view line);
 
     /**
      * Record as a JSON object (the wire `replicate` payload unit). The
@@ -256,9 +257,9 @@ class MappingStore
     void unindexLocked(const Node &node) REQUIRES(mu_);
     /** Overwrite node's entry with a better record for its key,
      *  keeping its row current. */
-    void replaceLocked(Node &node, const StoreEntry &e) REQUIRES(mu_);
+    void replaceLocked(Node &node, StoreEntry e) REQUIRES(mu_);
 
-    void ingestLineLocked(const std::string &line) REQUIRES(mu_);
+    void ingestLineLocked(std::string_view line) REQUIRES(mu_);
     /** Shared accept path of recordIfBetter/mergeEntry: best-score-
      *  wins upsert + append + auto-compaction. */
     bool upsertLocked(const std::string &key, const StoreEntry &e)

@@ -1,8 +1,9 @@
 #include "workload/workload.hpp"
 
 #include <algorithm>
-#include <sstream>
 #include <stdexcept>
+
+#include "workload/text_codec.hpp"
 
 namespace mse {
 
@@ -113,34 +114,47 @@ Workload::dimIndex(const std::string &dim_name) const
 std::string
 Workload::toString() const
 {
-    std::ostringstream os;
-    os << name_ << " (";
+    std::string out = name_;
+    out += " (";
     for (int d = 0; d < numDims(); ++d) {
         if (d)
-            os << ",";
-        os << dim_names_[d] << "=" << bounds_[d];
+            out += ',';
+        out += dim_names_[d];
+        out += '=';
+        text::appendInt(out, bounds_[d]);
     }
-    os << ")";
-    return os.str();
+    out += ')';
+    return out;
 }
 
 std::string
 Workload::signature() const
 {
-    std::ostringstream os;
-    for (int d = 0; d < numDims(); ++d)
-        os << dim_names_[d] << "=" << bounds_[d] << ";";
+    std::string out;
+    out.reserve(160);
+    for (int d = 0; d < numDims(); ++d) {
+        out += dim_names_[d];
+        out += '=';
+        text::appendInt(out, bounds_[d]);
+        out += ';';
+    }
     for (const auto &t : tensors_) {
-        os << "|" << t.name
-           << (t.kind == TensorKind::Output ? ":out" : ":in") << ":d="
-           << t.density << ":";
+        out += '|';
+        out += t.name;
+        out += t.kind == TensorKind::Output ? ":out:d=" : ":in:d=";
+        text::appendG(out, t.density);
+        out += ':';
         for (const auto &rank : t.projection) {
-            for (const auto &term : rank)
-                os << term.coeff << "*" << term.dim << "+";
-            os << ",";
+            for (const auto &term : rank) {
+                text::appendInt(out, term.coeff);
+                out += '*';
+                text::appendInt(out, term.dim);
+                out += '+';
+            }
+            out += ',';
         }
     }
-    return os.str();
+    return out;
 }
 
 Workload

@@ -1,133 +1,158 @@
 #include "workload/workload_io.hpp"
 
-#include <sstream>
+#include <algorithm>
+
+#include "workload/text_codec.hpp"
 
 namespace mse {
 
 std::string
 serializeWorkload(const Workload &wl)
 {
-    std::ostringstream os;
-    os << "wl1;" << wl.name() << ";dims ";
+    std::string out;
+    out.reserve(192);
+    out += "wl1;";
+    out += wl.name();
+    out += ";dims ";
     for (int d = 0; d < wl.numDims(); ++d) {
-        os << (d ? "," : "") << wl.dimNames()[d] << "="
-           << wl.bound(d);
+        if (d)
+            out += ',';
+        out += wl.dimNames()[d];
+        out += '=';
+        text::appendInt(out, wl.bound(d));
     }
     for (const auto &t : wl.tensors()) {
-        os << ";tensor " << t.name << ":"
-           << (t.kind == TensorKind::Output ? "out" : "in") << ":"
-           << t.density << ":";
+        out += ";tensor ";
+        out += t.name;
+        out += t.kind == TensorKind::Output ? ":out:" : ":in:";
+        text::appendG(out, t.density);
+        out += ':';
         for (size_t r = 0; r < t.projection.size(); ++r) {
             if (r)
-                os << "|";
+                out += '|';
             for (size_t i = 0; i < t.projection[r].size(); ++i) {
                 if (i)
-                    os << "+";
-                os << t.projection[r][i].coeff << "*"
-                   << t.projection[r][i].dim;
+                    out += '+';
+                text::appendInt(out, t.projection[r][i].coeff);
+                out += '*';
+                text::appendInt(out, t.projection[r][i].dim);
             }
         }
     }
-    return os.str();
+    return out;
 }
 
 namespace {
 
-bool
-splitOn(const std::string &s, char sep, std::vector<std::string> &out)
+/**
+ * Capacity to reserve for the sep-separated cells of s: their count,
+ * so a record's vectors are allocated once, but at most kMaxDims + 3,
+ * so a hostile line cannot make the decoder reserve far more than it
+ * sent.
+ */
+size_t
+reserveFor(std::string_view s, char sep)
 {
-    out.clear();
-    std::istringstream is(s);
-    std::string cell;
-    while (std::getline(is, cell, sep))
-        out.push_back(cell);
-    return !out.empty();
+    const auto cells = static_cast<size_t>(std::count(s.begin(), s.end(),
+                                                      sep)) + 1;
+    return std::min<size_t>(cells, Workload::kMaxDims + 3);
+}
+
+/** One rank: '+'-joined coeff*dim terms, each dim below num_dims. */
+bool
+parseRank(std::string_view rank, int num_dims, CompositeDim &out)
+{
+    text::Cells terms(rank, '+');
+    std::string_view term;
+    while (terms.next(term)) {
+        const size_t star = term.find('*');
+        DimTerm t;
+        if (star == std::string_view::npos ||
+            !text::parseInt(term.substr(0, star), t.coeff) ||
+            !text::parseInt(term.substr(star + 1), t.dim) || t.dim < 0 ||
+            t.dim >= num_dims) {
+            return false;
+        }
+        out.push_back(t);
+    }
+    return true;
+}
+
+/** One tensor body: name:kind:density:rank|rank|... */
+bool
+parseTensor(std::string_view body, int num_dims, TensorSpec &spec)
+{
+    text::Cells fields(body, ':');
+    std::string_view name, kind, density, ranks;
+    if (!fields.next(name) || !fields.next(kind) ||
+        !fields.next(density) || !fields.next(ranks) || !fields.done()) {
+        return false;
+    }
+    spec.name = name;
+    if (kind == "out")
+        spec.kind = TensorKind::Output;
+    else if (kind == "in")
+        spec.kind = TensorKind::Input;
+    else
+        return false;
+    // Written so that NaN fails too.
+    if (!text::parseDouble(density, spec.density) ||
+        !(spec.density > 0.0 && spec.density <= 1.0)) {
+        return false;
+    }
+    spec.projection.reserve(reserveFor(ranks, '|'));
+    text::Cells rank_cells(ranks, '|');
+    std::string_view rank;
+    while (rank_cells.next(rank)) {
+        if (!parseRank(rank, num_dims, spec.projection.emplace_back()))
+            return false;
+    }
+    return true;
 }
 
 } // namespace
 
 std::optional<Workload>
-parseWorkload(const std::string &text)
+parseWorkload(std::string_view text)
 {
-    std::vector<std::string> sections;
-    splitOn(text, ';', sections);
-    if (sections.size() < 4 || sections[0] != "wl1")
+    text::Cells sections(text, ';');
+    std::string_view cell, name;
+    if (!sections.next(cell) || cell != "wl1" || !sections.next(name) ||
+        !sections.next(cell) || !text::consume(cell, "dims ")) {
         return std::nullopt;
-    const std::string name = sections[1];
+    }
 
-    if (sections[2].rfind("dims ", 0) != 0)
-        return std::nullopt;
-    std::vector<std::string> dim_cells;
-    splitOn(sections[2].substr(5), ',', dim_cells);
     std::vector<std::string> dim_names;
     std::vector<int64_t> bounds;
-    for (const auto &cell : dim_cells) {
-        const size_t eq = cell.find('=');
-        if (eq == std::string::npos)
-            return std::nullopt;
-        dim_names.push_back(cell.substr(0, eq));
-        try {
-            bounds.push_back(std::stoll(cell.substr(eq + 1)));
-        } catch (...) {
+    dim_names.reserve(reserveFor(cell, ','));
+    bounds.reserve(reserveFor(cell, ','));
+    text::Cells dims(cell, ',');
+    std::string_view dim;
+    while (dims.next(dim)) {
+        const size_t eq = dim.find('=');
+        int64_t bound = 0;
+        if (eq == std::string_view::npos ||
+            !text::parseInt(dim.substr(eq + 1), bound) || bound < 1 ||
+            bounds.size() == static_cast<size_t>(Workload::kMaxDims)) {
             return std::nullopt;
         }
-        if (bounds.back() < 1)
-            return std::nullopt;
+        dim_names.emplace_back(dim.substr(0, eq));
+        bounds.push_back(bound);
     }
 
     std::vector<TensorSpec> tensors;
-    for (size_t s = 3; s < sections.size(); ++s) {
-        if (sections[s].rfind("tensor ", 0) != 0)
-            return std::nullopt;
-        std::vector<std::string> fields;
-        splitOn(sections[s].substr(7), ':', fields);
-        if (fields.size() != 4)
-            return std::nullopt;
-        TensorSpec spec;
-        spec.name = fields[0];
-        if (fields[1] == "out")
-            spec.kind = TensorKind::Output;
-        else if (fields[1] == "in")
-            spec.kind = TensorKind::Input;
-        else
-            return std::nullopt;
-        try {
-            spec.density = std::stod(fields[2]);
-        } catch (...) {
+    tensors.reserve(reserveFor(text, ';') - 3);
+    while (sections.next(cell)) {
+        if (!text::consume(cell, "tensor ") ||
+            !parseTensor(cell, static_cast<int>(bounds.size()),
+                         tensors.emplace_back())) {
             return std::nullopt;
         }
-        if (spec.density <= 0.0 || spec.density > 1.0)
-            return std::nullopt;
-        std::vector<std::string> ranks;
-        splitOn(fields[3], '|', ranks);
-        for (const auto &rank : ranks) {
-            std::vector<std::string> terms;
-            splitOn(rank, '+', terms);
-            CompositeDim comp;
-            for (const auto &term : terms) {
-                const size_t star = term.find('*');
-                if (star == std::string::npos)
-                    return std::nullopt;
-                try {
-                    DimTerm t;
-                    t.coeff = std::stoi(term.substr(0, star));
-                    t.dim = std::stoi(term.substr(star + 1));
-                    if (t.dim < 0 ||
-                        t.dim >= static_cast<int>(bounds.size())) {
-                        return std::nullopt;
-                    }
-                    comp.push_back(t);
-                } catch (...) {
-                    return std::nullopt;
-                }
-            }
-            spec.projection.push_back(comp);
-        }
-        tensors.push_back(std::move(spec));
     }
 
     try {
-        return Workload(name, dim_names, bounds, tensors);
+        return Workload(std::string(name), std::move(dim_names),
+                        std::move(bounds), std::move(tensors));
     } catch (...) {
         return std::nullopt;
     }

@@ -14,11 +14,13 @@
 #include <new>
 #include <span>
 
+#include "common/math_util.hpp"
 #include "common/pareto.hpp"
 #include "mappers/gamma.hpp"
 #include "mapping/map_space.hpp"
 #include "model/batch_eval.hpp"
 #include "model/eval_plan.hpp"
+#include "service/mapping_store.hpp"
 #include "sparse/sparse_model.hpp"
 #include "workload/model_zoo.hpp"
 
@@ -205,6 +207,34 @@ TEST_F(AllocBudget, SteadyStateSparsePassesAllocateNothing)
                   }),
                   0u);
     }
+}
+
+TEST_F(AllocBudget, StoreRecordDecodeAtMost31)
+{
+    // One store line of a 3-tensor GEMM (BERT KQV on Accel-B) with a
+    // drawn mapping, decoded the way load() decodes every record: the
+    // JSON tree, the two text decoders and the entry. The
+    // istringstream decoders took 166; the JSON tree is most of the
+    // rest.
+    const Workload wl = bertKqv();
+    const ArchConfig arch = accelB();
+    MapSpace space(wl, arch);
+    Rng rng(5);
+    StoreEntry e;
+    e.workload = wl;
+    e.arch_sig = fnv1a64Hex(arch.signature());
+    e.mapping = space.randomMapping(rng);
+    e.score = 2.5e9;
+    e.energy_uj = 100.0;
+    e.latency_cycles = 2.5e7;
+    e.samples = 600;
+    const std::string line = MappingStore::encodeEntry(e);
+    std::optional<StoreEntry> back;
+    const size_t n =
+        allocationsOf([&] { back = MappingStore::decodeEntry(line); });
+    ASSERT_TRUE(back.has_value());
+    EXPECT_EQ(MappingStore::encodeEntry(*back), line);
+    EXPECT_LE(n, 31u);
 }
 
 TEST(AllocBudgetPareto, RanksOfAGammaPopulationAtMostTwo)

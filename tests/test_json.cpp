@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <limits>
 
 #include "common/json.hpp"
 #include "test_helpers.hpp"
@@ -141,6 +142,20 @@ TEST(Json, TypedGettersTolerateWrongTypes)
     EXPECT_EQ(j->getInt("missing", 9), 9);
     // Null-tolerant chaining: find on a non-object is nullptr.
     EXPECT_EQ(j->find("s")->find("inner"), nullptr);
+}
+
+TEST(Json, IntegerReadsSaturate)
+{
+    // A hostile 1e300 must not reach an out-of-range double-to-int
+    // conversion (undefined behavior): it saturates.
+    const auto j = parseJson("{\"big\":1e300,\"small\":-1e300,"
+                             "\"two63\":9223372036854775808,\"frac\":-2.7}");
+    ASSERT_TRUE(j.has_value());
+    EXPECT_EQ(j->getInt("big", 0), std::numeric_limits<int64_t>::max());
+    EXPECT_EQ(j->getInt("small", 0), std::numeric_limits<int64_t>::min());
+    EXPECT_EQ(j->getInt("two63", 0), std::numeric_limits<int64_t>::max());
+    EXPECT_EQ(j->getInt("frac", 0), -2);
+    EXPECT_EQ(JsonValue(std::nan("")).asInt(7), 7);
 }
 
 TEST(Json, WriteJsonFilePrettyRoundTrip)

@@ -115,7 +115,27 @@ INSTANTIATE_TEST_SUITE_P(
         BadInput{"v1;L=33;D=1;lvl t1 s1 o0", "33 levels"},
         BadInput{"v1;L=1;D=33;lvl t1 s1 o0", "33 dims"},
         BadInput{"v1;L=2000000000;D=1", "two billion levels"},
-        BadInput{"v1;L=3x;D=1;lvl t1 s1 o0", "trailing garbage in L"}));
+        BadInput{"v1;L=3x;D=1;lvl t1 s1 o0", "trailing garbage in L"},
+        BadInput{"v1;L=1;D=2;lvl t2,1x s1,1 o0,1",
+                 "trailing garbage in factor"},
+        BadInput{"v1;L=1;D=2;lvl t2,1 s1,1 o0,1zz",
+                 "trailing garbage in order"},
+        BadInput{"v1;L=1;D=2;lvl t 2,1 s1,1 o0,1",
+                 "leading space in factor"},
+        BadInput{"v1;L=1;D=2;lvl t+2,1 s1,1 o0,1",
+                 "leading plus in factor"},
+        BadInput{"v1;L=+1;D=2;lvl t2,1 s1,1 o0,1", "leading plus in L"},
+        BadInput{"v1;L=1;D=2;lvl t2,1 s1,1 o0,1 t2,1", "repeated t"},
+        BadInput{"v1;L=1;D=2;lvl t2,1 s1,1 s1,1 o0,1", "repeated s"},
+        BadInput{"v1;L=1;D=2;lvl t2,1 s1,1 o0,1 o1,0", "repeated o"},
+        BadInput{"v1;L=1;D=2;lvl t2,1 s1,1 o0,1 k1 k1", "repeated k"},
+        BadInput{"v1;L=1;D=2;lvl s1,1 t2,1 o0,1", "fields out of order"},
+        BadInput{"v1;L=1;D=2;lvl t2,1 s1,1 o0,1;",
+                 "trailing empty section"},
+        BadInput{"v1;L=1;D=2;lvl t2,1  s1,1 o0,1", "double space"},
+        BadInput{"v1;L=1;D=2;lvl t2,1 s1,1 o0,1 ", "trailing space"},
+        BadInput{"v1;L=1;D=2;lvl t2,1, s1,1 o0,1", "trailing comma"},
+        BadInput{"v1;L=1;D=2;lvl t2,1 s1,1 o0,1 k", "empty keep mask"}));
 
 TEST(MappingIo, ExtraLevelRejected)
 {

@@ -21,6 +21,7 @@
 #include "core/model_sweep.hpp"
 #include "mapping/mapping_io.hpp"
 #include "service/mapping_store.hpp"
+#include "service/service.hpp"
 #include "test_helpers.hpp"
 
 namespace mse {
@@ -286,6 +287,70 @@ TEST(MappingStore, RecordsWhoseMappingDoesNotFitTheirWorkloadAreSkipped)
     EXPECT_EQ(store.malformedLines(), 2u);
     EXPECT_EQ(store.lookup(wl, arch, Objective::Edp, false, 0.0).hit,
               StoreHit::Exact);
+    std::remove(path.c_str());
+}
+
+TEST(MappingStore, DecodeRejectsNegativeSampleCount)
+{
+    // samples is unsigned: a negative count would wrap to 2^64 - n and
+    // re-encode as a different record.
+    StoreEntry e;
+    e.workload = tinyGemm();
+    e.arch_sig = "0123456789abcdef";
+    e.mapping = topMapping(e.workload, miniNpu());
+    e.score = 3.0;
+    e.samples = 5;
+    std::string line = MappingStore::encodeEntry(e);
+    ASSERT_TRUE(MappingStore::decodeEntry(line).has_value());
+    const size_t at = line.find("\"samples\":5");
+    ASSERT_NE(at, std::string::npos);
+    line.replace(at, 11, "\"samples\":-5");
+    EXPECT_FALSE(MappingStore::decodeEntry(line).has_value());
+}
+
+TEST(MappingStore, NanDensityLineIsSkippedAndCounted)
+{
+    // NaN passes a (0, 1] check written as two negated comparisons; the
+    // decoder must refuse it. The line is counted as malformed, and the
+    // records on either side of it still load.
+    const std::string path = tempStorePath("nan_density");
+    std::remove(path.c_str());
+    const ArchConfig arch = miniNpu();
+    StoreEntry e;
+    e.arch_sig = fnv1a64Hex(arch.signature());
+    e.objective = Objective::Edp;
+    e.score = 5.0;
+    std::string text;
+    const Workload shapes[] = {tinyGemm(), makeGemm("g2", 2, 8, 8, 8),
+                               tinyConv()};
+    for (const Workload &wl : shapes) {
+        e.workload = wl;
+        e.mapping = topMapping(wl, arch);
+        text += MappingStore::encodeEntry(e) + "\n";
+    }
+    const size_t second = text.find('\n') + 1;
+    const size_t density = text.find(":in:1:", second);
+    ASSERT_LT(density, text.find('\n', second));
+    text.replace(density, 6, ":in:nan:");
+    spit(path, text);
+
+    MappingStore store(path);
+    EXPECT_EQ(store.size(), 2u);
+    EXPECT_EQ(store.malformedLines(), 1u);
+    EXPECT_EQ(store.lookup(shapes[0], arch, Objective::Edp, false, 0.0).hit,
+              StoreHit::Exact);
+    EXPECT_EQ(store.lookup(shapes[2], arch, Objective::Edp, false, 0.0).hit,
+              StoreHit::Exact);
+
+    ServiceConfig cfg;
+    cfg.store_path = path;
+    MseService service(cfg);
+    const JsonValue stats = service.statsJson();
+    const JsonValue *block = stats.find("store");
+    ASSERT_NE(block, nullptr);
+    EXPECT_EQ(block->getInt("malformed_lines_skipped", -1), 1);
+    EXPECT_EQ(block->getInt("entries", -1), 2);
+    service.stop(true);
     std::remove(path.c_str());
 }
 

@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <sstream>
+
+#include "common/rng.hpp"
 #include "workload/model_zoo.hpp"
+#include "workload/text_codec.hpp"
 #include "workload/workload_io.hpp"
 
 namespace mse {
@@ -92,7 +98,77 @@ INSTANTIATE_TEST_SUITE_P(
                     "dim out of range"},
         BadWorkload{"wl1;x;dims A=2;tensor T:in:1:1*0",
                     "no output tensor"},
-        BadWorkload{"wl1;x;dims A=2", "no tensors"}));
+        BadWorkload{"wl1;x;dims A=2", "no tensors"},
+        BadWorkload{"wl1;x;dims A=2;tensor T:out:nan:1*0", "nan density"},
+        BadWorkload{"wl1;x;dims A=2;tensor T:out:inf:1*0", "inf density"},
+        BadWorkload{"wl1;x;dims A=2;tensor T:out:0x1p-1:1*0",
+                    "hex-float density"},
+        BadWorkload{"wl1;x;dims A=2;tensor T:out: 1:1*0",
+                    "leading space in density"},
+        BadWorkload{"wl1;x;dims A=2;tensor T:out:+1:1*0",
+                    "leading plus in density"},
+        BadWorkload{"wl1;x;dims A=2;tensor T:out:0.5x:1*0",
+                    "trailing garbage in density"},
+        BadWorkload{"wl1;x;dims A=16junk;tensor T:out:1:1*0",
+                    "trailing garbage in bound"},
+        BadWorkload{"wl1;x;dims A= 2;tensor T:out:1:1*0",
+                    "leading space in bound"},
+        BadWorkload{"wl1;x;dims A=+2;tensor T:out:1:1*0",
+                    "leading plus in bound"},
+        BadWorkload{"wl1;x;dims A=2;tensor T:out:1:1x*0",
+                    "trailing garbage in coefficient"},
+        BadWorkload{"wl1;x;dims A=2;tensor T:out:1:1*0zz",
+                    "trailing garbage in dim index"},
+        BadWorkload{"wl1;x;dims A=2;tensor T:out:1:+1*0",
+                    "leading plus in coefficient"},
+        BadWorkload{"wl1;x;dims A=2;tensor T:out:1:1* 0",
+                    "leading space in dim index"},
+        BadWorkload{"wl1;x;dims A=2;tensor T:out:1:1*0;",
+                    "trailing empty section"},
+        BadWorkload{"wl1;x;dims A=2,;tensor T:out:1:1*0",
+                    "trailing empty dim"},
+        BadWorkload{"wl1;x;dims A=2;tensor T:out:1:1*0||1*0",
+                    "empty rank"},
+        BadWorkload{"wl1;x;dims A=2;tensor T:out:1:1*0+",
+                    "empty term"},
+        BadWorkload{"wl1;x;dims A=2;tensor T:out:1:", "empty projection"},
+        BadWorkload{"wl1;x;dims A=2;tensor T:out:1:1*0:", "fifth field"}));
+
+TEST(WorkloadIo, ExponentDensitiesRoundTrip)
+{
+    // %g switches to exponent form below 1e-4; the parser must take
+    // back everything the serializer writes.
+    for (const double d : {1e-05, 1.5e-07, 0.0001, 0.333333333, 1.0}) {
+        Workload wl = makeGemm("g", 2, 3, 4, 5);
+        wl.setDensity("Weights", d);
+        const std::string text = serializeWorkload(wl);
+        const auto parsed = parseWorkload(text);
+        ASSERT_TRUE(parsed.has_value()) << text;
+        EXPECT_EQ(serializeWorkload(*parsed), text);
+    }
+    EXPECT_TRUE(
+        parseWorkload("wl1;x;dims A=2;tensor T:out:1e-05:1*0").has_value());
+}
+
+TEST(WorkloadIo, DensityTextIsPrintfG)
+{
+    // Densities are written with to_chars at 6 significant digits; that
+    // must be byte-identical to printf("%g") and to ostream's default
+    // rendering, which older stores and signatures were written with.
+    Rng rng(11);
+    for (int i = 0; i < 20000; ++i) {
+        const double v =
+            rng.uniformReal() * std::pow(10.0, -rng.uniformInt(0, 12));
+        std::string ours;
+        text::appendG(ours, v);
+        char buf[32];
+        std::snprintf(buf, sizeof(buf), "%g", v);
+        ASSERT_EQ(ours, buf) << i;
+        std::ostringstream os;
+        os << v;
+        ASSERT_EQ(ours, os.str()) << i;
+    }
+}
 
 } // namespace
 } // namespace mse
