@@ -325,18 +325,18 @@ allAtTop(const Workload &wl, const ArchConfig &arch)
     return m;
 }
 
+/**
+ * Fill `store` in the shape of the warm-start benchmark's: 684 lattice
+ * GEMMs at B=16/256 (points >= 4 apart in BoundRatio distance) plus
+ * 6000 B=1 fillers, over Accel-A and Accel-B. Each query is one
+ * dimension x2 off a lattice point, i.e. a Near hit at distance 1;
+ * query_arch[i] indexes the arch of queries[i] in {accelA, accelB}.
+ */
 void
-BM_StoreLookupNear(benchmark::State &state)
+fillNearStore(MappingStore &store, std::vector<Workload> &queries,
+              std::vector<size_t> &query_arch)
 {
-    // A store shaped like the warm-start benchmark's: 684 lattice GEMMs
-    // at B=16/256 (points >= 4 apart in BoundRatio distance) plus 6000
-    // B=1 fillers, over two arches. Each lookup is one dimension x2
-    // off a lattice point, i.e. a Near hit at distance 1.
     const ArchConfig archs[] = {accelA(), accelB()};
-    // mse-lint: allow(store-construct) in-memory fixture, never replicated
-    MappingStore store;
-    std::vector<Workload> queries;
-    std::vector<size_t> query_arch;
     const int lattice[] = {2, 4, 6, 8, 10, 12, 14};
     for (size_t a = 0; a < 2; ++a)
         for (const int64_t batch : {16, 256})
@@ -366,6 +366,17 @@ BM_StoreLookupNear(benchmark::State &state)
         store.recordIfBetter(wl, arch, Objective::Edp, false,
                              allAtTop(wl, arch), 1.0, 1.0, 1.0, 0);
     }
+}
+
+void
+BM_StoreLookupNear(benchmark::State &state)
+{
+    const ArchConfig archs[] = {accelA(), accelB()};
+    // mse-lint: allow(store-construct) in-memory fixture, never replicated
+    MappingStore store;
+    std::vector<Workload> queries;
+    std::vector<size_t> query_arch;
+    fillNearStore(store, queries, query_arch);
     size_t i = 0;
     for (auto _ : state) {
         const size_t q = i++ % queries.size();
@@ -376,6 +387,34 @@ BM_StoreLookupNear(benchmark::State &state)
     state.counters["entries"] = static_cast<double>(store.size());
 }
 BENCHMARK(BM_StoreLookupNear)->Unit(benchmark::kMicrosecond);
+
+void
+BM_StoreLoad(benchmark::State &state)
+{
+    // The BM_StoreLookupNear store written to a file, one encodeEntry
+    // line per record, then read back whole by each load(): decoding,
+    // keying and indexing, i.e. the daemon's startup cost per store.
+    // mse-lint: allow(store-construct) in-memory fixture, never replicated
+    MappingStore source;
+    std::vector<Workload> queries;
+    std::vector<size_t> query_arch;
+    fillNearStore(source, queries, query_arch);
+    const std::string path = "mse_bench_store_load.jsonl";
+    {
+        std::ofstream out(path, std::ios::trunc);
+        for (const StoreEntry &e : source.entriesBetterThan({}, 0))
+            out << MappingStore::encodeEntry(e) << "\n";
+    }
+    // mse-lint: allow(store-construct) read-only fixture, never replicated
+    MappingStore store(path);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(store.load());
+    std::remove(path.c_str());
+    state.counters["entries"] = static_cast<double>(store.size());
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                            static_cast<int64_t>(store.size()));
+}
+BENCHMARK(BM_StoreLoad)->Unit(benchmark::kMillisecond);
 
 /**
  * Batched-evaluation throughput sweep (the perf-trajectory artifact of
