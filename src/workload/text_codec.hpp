@@ -7,13 +7,14 @@
  * Parsing walks std::string_view cursors and reads numbers with
  * std::from_chars over a whole cell: no leading space or '+', no bytes
  * after the number, no hex floats, no empty cells. Formatting appends to
- * one std::string with std::to_chars. Nothing here allocates except the
- * output string's own growth.
+ * one std::string, integers with std::to_chars and densities as %g.
+ * Nothing here allocates except the output string's own growth.
  */
 #pragma once
 
 #include <charconv>
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <string_view>
 #include <system_error>
@@ -106,17 +107,19 @@ appendInt(std::string &out, T v)
 }
 
 /**
- * Append v as printf("%g") writes it in the C locale: 6 significant
- * digits, exponent form below 1e-4 ("1e-05"). That is byte for byte
- * what `std::ostream << double` writes under the default precision.
+ * Append v as printf("%g") writes it: 6 significant digits, exponent
+ * form below 1e-4 ("1e-05"). That is byte for byte what
+ * `std::ostream << double` writes under the default precision. (The
+ * process never leaves the "C" numeric locale. std::to_chars with a
+ * precision would give the same bytes, but it maps libstdc++'s Ryu
+ * tables into every process, about 0.2 MiB of resident memory.)
  */
 inline void
 appendG(std::string &out, double v)
 {
     char buf[32];
-    const auto res = std::to_chars(buf, buf + sizeof(buf), v,
-                                   std::chars_format::general, 6);
-    out.append(buf, res.ptr);
+    const int n = std::snprintf(buf, sizeof(buf), "%g", v);
+    out.append(buf, static_cast<size_t>(n));
 }
 
 } // namespace mse::text
