@@ -4,17 +4,19 @@
  * formats: workload_io (wl1), mapping_io (v1) and
  * Workload::signature().
  *
- * Parsing walks std::string_view cursors and reads numbers with
- * std::from_chars over a whole cell: no leading space or '+', no bytes
- * after the number, no hex floats, no empty cells. Formatting appends to
- * one std::string, integers with std::to_chars and densities as %g.
- * Nothing here allocates except the output string's own growth.
+ * Parsing walks std::string_view cursors and reads each number from a
+ * whole cell: no leading space or '+', no bytes after the number, no
+ * hex floats, no empty cells. Formatting appends to one std::string,
+ * integers with std::to_chars and densities as %g. Nothing here
+ * allocates except the output string's own growth.
  */
 #pragma once
 
 #include <charconv>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <string>
 #include <string_view>
 #include <system_error>
@@ -84,16 +86,31 @@ parseInt(std::string_view cell, T &out)
 
 /**
  * `cell` as one whole decimal double, fixed or exponent form ("0.5",
- * "1e-05"); false as parseInt is, and on hex floats. "nan" and "inf"
- * pass: callers range-check the value.
+ * "1e-05"); false as parseInt is, and on any byte but digits, '.',
+ * 'e'/'E' and signs, so no hex floats, "nan" or "inf". Out-of-range
+ * values read as inf or 0 (callers range-check). Cells are at most 31
+ * bytes; %g writes at most 12. (std::strtod on a stack copy rather
+ * than std::from_chars: the JSON parser already maps strtod, while
+ * from_chars for doubles maps about 64 KiB more of libstdc++ into
+ * every process.)
  */
 inline bool
 parseDouble(std::string_view cell, double &out)
 {
-    const char *last = cell.data() + cell.size();
-    const auto res = std::from_chars(cell.data(), last, out,
-                                     std::chars_format::general);
-    return res.ec == std::errc() && res.ptr == last;
+    char buf[32];
+    if (cell.empty() || cell.size() >= sizeof(buf) || cell[0] == '+')
+        return false;
+    for (const char c : cell) {
+        if (!((c >= '0' && c <= '9') || c == '.' || c == 'e' ||
+              c == 'E' || c == '-' || c == '+')) {
+            return false;
+        }
+    }
+    std::memcpy(buf, cell.data(), cell.size());
+    buf[cell.size()] = '\0';
+    char *end = nullptr;
+    out = std::strtod(buf, &end);
+    return end == buf + cell.size();
 }
 
 /** Append v in decimal. */

@@ -26,8 +26,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <cstdlib>
+#include <iterator>
 #include <fstream>
 #include <string>
 #include <vector>
