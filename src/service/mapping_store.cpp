@@ -127,7 +127,9 @@ MappingStore::decodeEntryJson(const JsonValue &doc)
         return std::nullopt;
     StoreEntry e;
     e.workload = std::move(*wl);
-    e.arch_sig = stringField(doc, "arch_sig");
+    // Constructed, not assigned from the view: assigning 16 bytes to an
+    // empty string reserves 30, and every stored entry keeps one.
+    e.arch_sig = std::string(stringField(doc, "arch_sig"));
     e.objective = *objective;
     e.sparse = model == "sparse";
     e.mapping = std::move(*mapping);

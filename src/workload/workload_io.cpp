@@ -88,7 +88,7 @@ parseTensor(std::string_view body, int num_dims, TensorSpec &spec)
         !fields.next(density) || !fields.next(ranks) || !fields.done()) {
         return false;
     }
-    spec.name = name;
+    spec.name = std::string(name);
     if (kind == "out")
         spec.kind = TensorKind::Output;
     else if (kind == "in")

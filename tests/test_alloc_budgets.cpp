@@ -213,9 +213,8 @@ TEST_F(AllocBudget, StoreRecordDecodeAtMost31)
 {
     // One store line of a 3-tensor GEMM (BERT KQV on Accel-B) with a
     // drawn mapping, decoded the way load() decodes every record: the
-    // JSON tree, the two text decoders and the entry. The
-    // istringstream decoders took 166; the JSON tree is most of the
-    // rest.
+    // JSON tree (most of the count), the two text decoders and the
+    // entry.
     const Workload wl = bertKqv();
     const ArchConfig arch = accelB();
     MapSpace space(wl, arch);
